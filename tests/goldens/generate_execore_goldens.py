@@ -9,7 +9,12 @@ cores).  They were first captured at the pre-execore seed (commit
 ``tests/test_execore.py`` asserting against them is a direct
 post-refactor-vs-pre-refactor equivalence check: bit-identical states
 for min/max accumulators, tolerance for sum-type, exact cycles/updates
-for every system.
+for every system.  Every run also pins its simulated hardware counts
+exactly (``ExecutionResult.access_counts``, per-level cache hits, misses
+and writebacks, NoC hops, DRAM accesses, every ``obs.engine.*`` total,
+``engine_ops`` and ``shortcut_applications``), captured before the
+scalar hot path was specialised, so a host-speed rewrite has to reproduce
+every simulated access, not only the makespan.
 
 Rerun only when the simulation model intentionally changes::
 
@@ -57,6 +62,16 @@ COUNTERS = (
     "obs.cache.llc.hit_rate",
 )
 
+#: simulated hardware counts pinned exactly, so a faster hot path must
+#: reproduce every access of the cycle model, not only the makespan
+HARDWARE_COUNTERS = tuple(
+    f"obs.cache.{level}.{field}"
+    for level in ("l1", "l2", "l3")
+    for field in ("hits", "misses", "writebacks")
+) + ("obs.noc.hop_count", "obs.dram.accesses")
+#: every engine total (fetches per HDTL stage, ops, stalls, timeline)
+ENGINE_PREFIX = "obs.engine."
+
 
 #: a second, less hub-dominated topology where the depgraph/minnow
 #: partition-steal paths actually fire (GL's ego-network shape starves
@@ -65,6 +80,23 @@ ALT_DATASET = "PK"
 ALT_SCALE = 0.15
 ALT_SYSTEMS = ("ligra-o", "minnow", "depgraph-h")
 ALT_ALGORITHMS = ("pagerank", "sssp")
+
+
+def hardware_counts(result) -> dict:
+    """The simulated counts of one run that ``COUNTERS`` leaves out."""
+    extra = result.extra
+    counts = {name: float(extra.get(name, 0.0)) for name in HARDWARE_COUNTERS}
+    counts.update(
+        (name, float(value))
+        for name, value in extra.items()
+        if name.startswith(ENGINE_PREFIX)
+    )
+    return {
+        "access_counts": {k: int(v) for k, v in result.access_counts.items()},
+        "engine_ops": int(result.engine_ops),
+        "shortcut_applications": int(result.shortcut_applications),
+        "hardware_counters": counts,
+    }
 
 
 def run_key(system: str, algo: str, policy: str, reorder: str, dataset: str = DATASET) -> str:
@@ -131,6 +163,7 @@ def main() -> None:
             "counters": {
                 name: float(result.extra.get(name, 0.0)) for name in COUNTERS
             },
+            **hardware_counts(result),
         }
         print(
             f"{key:<40} cycles={result.cycles:>12.0f} "

@@ -9,7 +9,8 @@ Two layers of protection for the shared-kernel refactor:
   ``tests/goldens/generate_execore_goldens.py`` *before* the families
   were rewritten over the kernel is re-run and compared — states
   bit-identical for min/max accumulators (within float tolerance for
-  sum-type), cycles/updates/rounds and the scheduling counters exact.
+  sum-type), cycles/updates/rounds, the scheduling counters and every
+  simulated hardware count (cache levels, NoC, DRAM, engine) exact.
   The matrix covers all registry systems, the three accumulator kinds
   (pagerank=sum, sssp=min, wcc=min-style), the steal-policy matrix, and
   a degree reordering, plus a denser dataset where depgraph/minnow
@@ -37,6 +38,7 @@ from repro.runtime.execore import (
     next_core,
 )
 from repro.runtime.scheduling import CostEstimator
+from tests.goldens.generate_execore_goldens import hardware_counts
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 META = json.loads((GOLDEN_DIR / "execore_meta.json").read_text())
@@ -260,3 +262,8 @@ def test_matches_pre_refactor_golden(key, golden_states, golden_graphs):
     assert bool(result.converged) == info["converged"]
     for name, want in info["counters"].items():
         assert float(result.extra.get(name, 0.0)) == want, name
+    # every simulated hardware count, pinned before the hot-path rewrite
+    got_counts = hardware_counts(result)
+    for field in ("access_counts", "engine_ops", "shortcut_applications"):
+        assert got_counts[field] == info[field], field
+    assert got_counts["hardware_counters"] == info["hardware_counters"]
