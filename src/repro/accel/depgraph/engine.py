@@ -11,17 +11,17 @@ benefit over DepGraph-S, where the same walk runs on the core's own
 timeline with software bookkeeping costs.
 
 ``DEP_configure`` / ``DEP_fetch_edge`` — the paper's two low-level APIs —
-map to :meth:`configure` and the runtime's consumption of
-:class:`~repro.accel.depgraph.hdtl.EdgeFetch` events.
+map to :meth:`configure` and the runtime's ``on_edge`` callback, which
+HDTL calls once per fetched edge.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque
+from typing import Callable, Deque, Optional
 
-from ...graph.csr import CSRGraph
+from ...graph.csr import CSRGraph, CSRLists
 from ...graph.partition import Partition
 from ...hardware.hierarchy import MemorySystem
 from ...hardware.layout import MemoryLayout
@@ -58,6 +58,7 @@ class DepGraphEngine:
         layout: MemoryLayout,
         hub_membership: Callable[[int], bool],
         config: EngineConfig,
+        csr: Optional[CSRLists] = None,
     ) -> None:
         self.core = core
         self.graph = graph
@@ -78,11 +79,24 @@ class DepGraphEngine:
         #: optional MetricRegistry attached by the runtime when observing
         self.metrics = None
         self._window: Deque[float] = deque()
+        #: ``note_consumed(core_time)``: the core popped one FIFO entry
+        self.note_consumed = self._window.append
+        # CSR-array bases (8-byte elements, MemoryLayout)
+        self._bases = {
+            FETCH_OFFSET: layout.offsets.base,
+            FETCH_NEIGHBOR: layout.targets.base,
+            FETCH_WEIGHT: layout.weights.base,
+        }
+        self._states_base = layout.states.base
+        self._deltas_base = layout.deltas.base
+        self._access = memsys.access
         self.hdtl = HDTL(
             graph,
             hub_membership,
             stack_depth=config.stack_depth,
             fetch=self._charge_fetch,
+            csr=csr,
+            line_elements=memsys.config.line_bytes // 8,
         )
 
     # ------------------------------------------------------------------
@@ -93,6 +107,9 @@ class DepGraphEngine:
         engine cycles."""
         self.config = config
         self.hdtl.stack_depth = config.stack_depth
+        self.hdtl.part_begin = config.partition.begin
+        self.hdtl.part_end = config.partition.end
+        self.hdtl.reset_lines()
         self.time += 8  # register-write cost
         self.ops += 1
 
@@ -107,41 +124,34 @@ class DepGraphEngine:
     def _charge_fetch(self, kind: str, index: int) -> None:
         """HDTL fetch callback: one CSR-array access on the engine timeline
         (the engine 'issues the instructions to access the data from the L2
-        cache', Section III-B)."""
-        if len(self._window) >= self.config.buffer_capacity:
+        cache', Section III-B).  A state fetch reads the target's state and
+        delta (the "vertex state arrays" of Figure 2)."""
+        window = self._window
+        if len(window) >= self.config.buffer_capacity:
             # FIFO full: the engine waits for the core to drain an entry.
-            release = self._window.popleft()
+            release = window.popleft()
             if release > self.time:
                 self.stall_cycles += release - self.time
                 self.time = release
-        layout = self.layout
-        if kind == FETCH_OFFSET:
-            addrs = (layout.offsets.addr(index),)
-        elif kind == FETCH_NEIGHBOR:
-            addrs = (layout.targets.addr(index),)
-        elif kind == FETCH_WEIGHT:
-            addrs = (layout.weights.addr(index),)
-        elif kind == FETCH_STATE:
-            # the "vertex state arrays" of Figure 2 are the recent-state and
-            # delta arrays; the engine fetches both for the edge's target
-            addrs = (layout.states.addr(index), layout.deltas.addr(index))
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown fetch kind {kind!r}")
+        if kind == FETCH_STATE:
+            offset = 8 * index
+            addrs = (self._states_base + offset, self._deltas_base + offset)
+        else:
+            try:
+                addrs = (self._bases[kind] + 8 * index,)
+            except KeyError:
+                raise ValueError(f"unknown fetch kind {kind!r}") from None
         self.fetch_counts[kind] += 1
+        access = self._access
+        core = self.core
         for addr in addrs:
-            latency = self.memsys.access(self.core, addr, now=self.time)
+            # pipelined: each line occupies the engine for its issue slot
+            # plus its latency spread over ENGINE_MLP outstanding fetches
+            latency = access(core, addr, False, self.time)
             self.time += ISSUE_CYCLES + latency / ENGINE_MLP
             self.ops += 1
             if self.metrics is not None:
                 self.metrics.observe("engine.fetch_latency", latency)
-
-    def edge_ready_time(self) -> float:
-        """When the entry most recently pushed to the FIFO becomes poppable."""
-        return self.time
-
-    def note_consumed(self, core_time: float) -> None:
-        """The core popped one FIFO entry at ``core_time``."""
-        self._window.append(core_time)
 
     # ------------------------------------------------------------------
     # Hub-index access timing (DDMU-issued memory traffic).
@@ -173,9 +183,3 @@ class DepGraphEngine:
         for kind, count in self.fetch_counts.items():
             out[f"fetch_{kind}"] = count
         return out
-
-    def charge_queue_op(self, write: bool = False) -> None:
-        self.time += self.memsys.access(
-            self.core, self.layout.queues.addr(self.core % self.layout.queues.length), write
-        )
-        self.ops += 1

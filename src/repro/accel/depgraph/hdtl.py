@@ -11,24 +11,26 @@ A traversal path ends when (Section III-B2):
 * the fetched vertex belongs to H'' (a hub/core vertex) — if the root is
   also in H'', the walked segment is a *core-path* and is reported so the
   DDMU can create its hub-index entry;
+* the fetched vertex lies outside the walker's partition G^m (the owning
+  core continues the chain);
 * the fixed-depth stack is full (the chain is split; the frontier vertex
   becomes a new root);
 * no unvisited vertex can be fetched from the current branch.
 
-The class is execution-agnostic: it is a generator that yields
-:class:`EdgeFetch` events and receives back the core's *descend* decision
-(whether the destination was significantly updated and should be explored),
-and yields :class:`PathEnd` events for bookkeeping.  Memory timing is charged
+The class is execution-agnostic: :meth:`HDTL.walk` calls the core's
+``on_edge(source, target, weight, depth)`` for every fetched edge, which
+returns the core's *descend* decision (whether the destination was
+significantly updated and should be explored), and
+``on_path_end(path, reason)`` when a path ends.  Memory timing is charged
 through the ``fetch`` callback so the same walker serves both DepGraph-S
 (core pays software costs) and DepGraph-H (engine timeline pays them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Set, Tuple, Union
+from typing import Callable, Optional, Set, Tuple
 
-from ...graph.csr import CSRGraph
+from ...graph.csr import CSRGraph, CSRLists
 
 #: fetch-callback access kinds (map to the CSR arrays of Figure 8)
 FETCH_OFFSET = "offset"
@@ -36,47 +38,16 @@ FETCH_NEIGHBOR = "neighbor"
 FETCH_WEIGHT = "weight"
 FETCH_STATE = "state"
 
-
-@dataclass(frozen=True)
-class EdgeFetch:
-    """One prefetched edge handed to the core."""
-
-    source: int
-    target: int
-    weight: float
-    edge_index: int
-    depth: int
+#: ``on_edge(source, target, weight, depth) -> descend``
+OnEdge = Callable[[int, int, float, int], bool]
+#: ``on_path_end(path, reason)``: ``path`` runs root..last vertex inclusive;
+#: the last vertex was *not* descended into and should be re-enqueued as a
+#: new root.  ``reason`` is ``"hub"``, ``"boundary"`` or ``"depth"``.
+OnPathEnd = Callable[[Tuple[int, ...], str], None]
 
 
-@dataclass(frozen=True)
-class PathEnd:
-    """A traversal path terminated.
-
-    ``reason``: ``"hub"`` (reached an H'' vertex) or ``"depth"`` (stack
-    full).  ``path`` runs root..last vertex inclusive; the last vertex was
-    *not* descended into and should be re-enqueued as a new root.
-    """
-
-    path: Tuple[int, ...]
-    reason: str
-
-    @property
-    def endpoint(self) -> int:
-        return self.path[-1]
-
-
-TraversalEvent = Union[EdgeFetch, PathEnd]
-
-
-@dataclass
-class _StackEntry:
-    """Figure 7's stack entry: visited vertex id + current/end offsets of its
-    unvisited edges (the cached neighbour cache-line is folded into the fetch
-    callback's line-granular accounting)."""
-
-    vertex: int
-    cursor: int
-    end: int
+def _no_fetch(kind: str, index: int) -> None:
+    return None
 
 
 class HDTL:
@@ -88,89 +59,134 @@ class HDTL:
         hub_membership: Callable[[int], bool],
         stack_depth: int = 10,
         fetch: Optional[Callable[[str, int], None]] = None,
-        in_partition: Optional[Callable[[int], bool]] = None,
+        csr: Optional[CSRLists] = None,
+        line_elements: int = 1,
     ) -> None:
         if stack_depth < 1:
             raise ValueError("stack_depth must be >= 1")
+        if line_elements < 1 or line_elements & (line_elements - 1):
+            raise ValueError("line_elements must be a power of two")
         self.graph = graph
+        #: the run's shared list view of ``graph`` (one per run, not per
+        #: walker: see :class:`~repro.graph.csr.CSRLists`)
+        self.csr = csr if csr is not None else graph.list_view()
         self.hub_membership = hub_membership
         self.stack_depth = stack_depth
-        self.fetch = fetch or (lambda kind, index: None)
+        self.fetch = fetch or _no_fetch
+        #: offset, neighbour and weight fetches are line-granular: CSR
+        #: regions are line-aligned (MemoryLayout), so element ``i`` sits
+        #: on line ``i >> _line_shift`` of its array, and a fetch of the
+        #: line fetched last for the same array is not issued again until
+        #: :meth:`reset_lines` (the walker is re-pointed at a partition)
+        self._line_shift = line_elements.bit_length() - 1
+        self.reset_lines()
         #: partition confinement: HDTL only prefetches the edges of its
-        #: core's partition G^m (Section III-B2); a path reaching a vertex
-        #: outside the partition ends there and the endpoint continues as a
-        #: root on its owning core.
-        self.in_partition = in_partition or (lambda vertex: True)
+        #: core's partition G^m = ``[part_begin, part_end)`` (Section
+        #: III-B2); a path reaching a vertex outside it ends there and the
+        #: endpoint continues as a root on its owning core.
+        self.part_begin = 0
+        self.part_end = graph.num_vertices
         #: statistics
         self.edges_fetched = 0
         self.paths_ended = 0
         self.max_depth_seen = 0
 
+    def reset_lines(self) -> None:
+        """Forget the last fetched line of every array."""
+        self._last_lines = (-1, -1, -1)
+
     # ------------------------------------------------------------------
-    def traverse(
-        self, root: int, visited: Set[int]
-    ) -> Generator[TraversalEvent, bool, None]:
+    def walk(
+        self,
+        root: int,
+        visited: Set[int],
+        on_edge: OnEdge,
+        on_path_end: OnPathEnd,
+    ) -> None:
         """Walk depth-first from ``root``.
 
         ``visited`` is the per-round applied-vertex set shared with the
-        runtime; HDTL adds every vertex it descends into (the caller marks
-        the root itself when it applies it).  The generator yields
-        :class:`EdgeFetch` events; the caller must ``send`` back True to
-        descend into the edge's target (i.e. the core applied a significant
-        update there) or False to prune the branch.  :class:`PathEnd` events
-        expect no response.
+        runtime; HDTL adds the root and every vertex it descends into.
+        ``on_edge`` sees every fetched edge with the stack depth it was
+        fetched at and returns True to descend into the target (the core
+        applied a significant update there) or False to prune the branch.
         """
-        graph = self.graph
+        offsets, targets, weights = self.csr
+        fetch = self.fetch
+        is_hub = self.hub_membership
+        begin, end = self.part_begin, self.part_end
+        limit = self.stack_depth
+        shift = self._line_shift
+        last_offset, last_neighbor, last_weight = self._last_lines
         visited.add(root)
-        self.fetch(FETCH_OFFSET, root)
-        begin, end = graph.edge_range(root)
-        stack: List[_StackEntry] = [_StackEntry(root, begin, end)]
+        if root >> shift != last_offset:
+            last_offset = root >> shift
+            fetch(FETCH_OFFSET, root)
+        # Figure 7's stack: the path's vertices and, per entry, the
+        # iterator over its unvisited edges (the cached neighbour
+        # cache-line is ``last_neighbor``)
+        path = [root]
+        stack = [iter(range(offsets[root], offsets[root + 1]))]
+        fetched = 0
         while stack:
-            top = stack[-1]
-            if top.cursor >= top.end:
+            source = path[-1]
+            depth = len(stack)
+            for edge in stack[-1]:
+                line = edge >> shift
+                if line != last_neighbor:
+                    last_neighbor = line
+                    fetch(FETCH_NEIGHBOR, edge)
+                target = targets[edge]
+                if weights is None:
+                    weight = 1.0
+                else:
+                    weight = weights[edge]
+                    if line != last_weight:
+                        last_weight = line
+                        fetch(FETCH_WEIGHT, edge)
+                # the target's state is fetched for every edge
+                fetch(FETCH_STATE, target)
+                fetched += 1
+                descend = on_edge(source, target, weight, depth)
+                if is_hub(target):
+                    # Reached an H'' vertex: the path ends here; the runtime
+                    # re-enqueues the endpoint and, when the root is in H'',
+                    # reports the segment to the DDMU as a core-path.  HDTL
+                    # never descends past hub/core vertices, which keeps
+                    # core-paths edge-disjoint (Definition 2).
+                    self.paths_ended += 1
+                    on_path_end((*path, target), "hub")
+                    continue
+                if not begin <= target < end:
+                    # Left G^m: the owning core continues this chain.
+                    if descend and target not in visited:
+                        self.paths_ended += 1
+                        on_path_end((*path, target), "boundary")
+                    continue
+                if not descend or target in visited:
+                    continue
+                if depth >= limit:
+                    # Fixed-depth stack is full: split the chain here and
+                    # let the endpoint continue as a fresh root.
+                    self.paths_ended += 1
+                    on_path_end((*path, target), "depth")
+                    continue
+                visited.add(target)
+                if target >> shift != last_offset:
+                    last_offset = target >> shift
+                    fetch(FETCH_OFFSET, target)
+                path.append(target)
+                stack.append(iter(range(offsets[target], offsets[target + 1])))
+                if depth >= self.max_depth_seen:
+                    self.max_depth_seen = depth + 1
+                break
+            else:
                 # This branch is exhausted: pop, resume the parent.
                 stack.pop()
-                continue
-            edge_index = top.cursor
-            top.cursor += 1
-            self.fetch(FETCH_NEIGHBOR, edge_index)
-            target = int(graph.targets[edge_index])
-            weight = graph.edge_weight(edge_index)
-            if graph.is_weighted:
-                self.fetch(FETCH_WEIGHT, edge_index)
-            self.fetch(FETCH_STATE, target)
-            self.edges_fetched += 1
-            descend = yield EdgeFetch(
-                top.vertex, target, weight, edge_index, len(stack)
-            )
-            if self.hub_membership(target):
-                # Reached an H'' vertex: the path ends here; the runtime
-                # re-enqueues the endpoint and, when the root is in H'',
-                # reports the segment to the DDMU as a core-path.  HDTL
-                # never descends past hub/core vertices, which keeps
-                # core-paths edge-disjoint (Definition 2).
-                self.paths_ended += 1
-                path = tuple(entry.vertex for entry in stack) + (target,)
-                yield PathEnd(path, "hub")
-                continue
-            if not self.in_partition(target):
-                # Left G^m: the owning core continues this chain.
-                if descend and target not in visited:
-                    self.paths_ended += 1
-                    path = tuple(entry.vertex for entry in stack) + (target,)
-                    yield PathEnd(path, "boundary")
-                continue
-            if not descend or target in visited:
-                continue
-            if len(stack) >= self.stack_depth:
-                # Fixed-depth stack is full: split the chain here and let
-                # the endpoint continue as a fresh root.
-                self.paths_ended += 1
-                path = tuple(entry.vertex for entry in stack) + (target,)
-                yield PathEnd(path, "depth")
-                continue
-            visited.add(target)
-            self.fetch(FETCH_OFFSET, target)
-            t_begin, t_end = graph.edge_range(target)
-            stack.append(_StackEntry(target, t_begin, t_end))
-            self.max_depth_seen = max(self.max_depth_seen, len(stack))
+                path.pop()
+        self.edges_fetched += fetched
+        self._last_lines = (last_offset, last_neighbor, last_weight)
+
+    #: the walk under its earlier name: ``perfbench/layers.py`` looks the
+    #: walker's boundary up as ``HDTL.traverse`` (the runtimes call walk)
+    traverse = walk

@@ -31,7 +31,7 @@ modelled addresses, so simulated cycles are identical at every width.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,6 +100,19 @@ def _resolve_weight_dtype(
             f"{tuple(str(d) for d in WEIGHT_DTYPES)}"
         )
     return chosen
+
+
+class CSRLists(NamedTuple):
+    """Python-list copies of a graph's CSR arrays, for per-edge loops:
+    indexing a list returns a Python int or float, indexing a numpy array
+    boxes a new scalar per element.  Build one per run and share it among
+    every walker and loop of the run (a copy per core multiplies host
+    memory by the core count); mutations stay on the :class:`CSRGraph`."""
+
+    offsets: List[int]
+    targets: List[int]
+    #: :meth:`CSRGraph.edge_weight` of every edge; None when unweighted
+    weights: Optional[List[float]]
 
 
 class CSRGraph:
@@ -317,6 +330,14 @@ class CSRGraph:
         if self.weights is None:
             return 1.0
         return float(self.weights[edge_index])
+
+    def list_view(self) -> CSRLists:
+        """Fresh :class:`CSRLists` of this graph (O(n + m) host memory)."""
+        return CSRLists(
+            self.offsets.tolist(),
+            self.targets.tolist(),
+            None if self.weights is None else self.weights.tolist(),
+        )
 
     def out_edges(self, v: int) -> Iterator[Tuple[int, int, float]]:
         """Yield ``(edge_index, target, weight)`` for each out-edge of v."""

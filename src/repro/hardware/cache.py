@@ -10,78 +10,79 @@ The three policies are the ones swept in Figure 16(b) of the paper:
   lines inside a registered hot address range (hub index, high-degree vertex
   states) are inserted at the highest priority and preferentially retained.
 
-Caches operate on line addresses; byte-to-line mapping lives in
-:class:`repro.hardware.hierarchy.MemorySystem`.
+``Cache(config)`` returns the class specialised for ``config.policy``
+(:class:`LRUCache`, :class:`RRIPCache` or :class:`GRASPCache`), so no access
+branches on the policy.  Caches operate on line addresses; byte-to-line
+mapping lives in :class:`repro.hardware.hierarchy.MemorySystem`, which also
+walks the private LRU levels inline.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .config import CacheConfig
 
-
-class ReplacementPolicy:
-    """Per-set replacement state; subclasses implement the three policies."""
-
-    def lookup(self, tags: "OrderedDict", tag: int) -> bool:
-        raise NotImplementedError
-
-    def insert(self, tags: "OrderedDict", tag: int, ways: int, hot: bool) -> None:
-        raise NotImplementedError
+#: the largest re-reference prediction value (2-bit RRPV)
+RRPV_MAX = 3
+#: set-dueling selector range and midpoint
+PSEL_MAX = 1023
+PSEL_MID = 512
 
 
 class Cache:
     """A single set-associative cache level.
 
-    ``access(line, write)`` returns True on hit.  Contents are per-line tags
-    only — this is a timing/locality model, data lives in the simulated
-    software arrays.
+    ``access(line, write)`` returns True on hit; on a miss the line is
+    installed.  Contents are per-line tags only — this is a timing/locality
+    model, data lives in the simulated software arrays.  Each set is an
+    ordered map from line (the full line id is the tag; sets are disjoint
+    by index) to its RRPV, which LRU ignores in favour of the order.
     """
 
     __slots__ = (
         "config",
         "num_sets",
+        "ways",
         "_sets",
         "_set_mask",
         "hits",
         "misses",
         "writebacks",
-        "_policy",
         "_hot_ranges",
-        "_brip_counter",
-        "_duel_leader_sets",
-        "_psel",
     )
 
-    RRPV_MAX = 3
+    policy = ""
+
+    def __new__(cls, config: CacheConfig, line_bytes: int = 64):
+        if cls is Cache:
+            try:
+                cls = _POLICY_CLASSES[config.policy]
+            except KeyError:
+                raise ValueError(f"unknown policy {config.policy!r}") from None
+        return super().__new__(cls)
 
     def __init__(self, config: CacheConfig, line_bytes: int = 64) -> None:
         self.config = config
+        self.ways = config.ways
         self.num_sets = config.num_sets(line_bytes)
         # Round down to a power of two so the index is a mask.
         while self.num_sets & (self.num_sets - 1):
             self.num_sets -= 1
         self._set_mask = self.num_sets - 1
-        # Each set maps tag -> rrpv (ignored by LRU, which uses dict order).
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: List[Dict[int, int]] = [
+            OrderedDict() for _ in range(self.num_sets)
+        ]
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
-        self._policy = config.policy
-        if self._policy not in ("lru", "drrip", "grasp"):
-            raise ValueError(f"unknown policy {config.policy!r}")
         self._hot_ranges: List[Tuple[int, int]] = []
-        self._brip_counter = 0
-        # Set-dueling: sets 0 mod 64 follow SRRIP, 32 mod 64 follow BRRIP,
-        # the rest follow the winning policy via a saturating counter.
-        self._duel_leader_sets = 64
-        self._psel = 512
 
     # ------------------------------------------------------------------
     def add_hot_range(self, begin_line: int, end_line: int) -> None:
-        """Register a GRASP hot region, in line addresses ``[begin, end)``."""
+        """Register a GRASP hot region, in line addresses ``[begin, end)``
+        (only :class:`GRASPCache` acts on it)."""
         self._hot_ranges.append((begin_line, end_line))
 
     def clear_hot_ranges(self) -> None:
@@ -97,86 +98,11 @@ class Cache:
     def access(self, line: int, write: bool = False) -> bool:
         """Touch one cache line; returns True on hit, False on miss (the
         line is then installed)."""
-        index = line & self._set_mask
-        tag = line >> 0  # full line id as tag; sets are disjoint by index
-        cset = self._sets[index]
-        if tag in cset:
-            self.hits += 1
-            if self._policy == "lru":
-                cset.move_to_end(tag)
-            else:
-                cset[tag] = 0  # RRIP: promote to near-immediate re-reference
-            return True
-        self.misses += 1
-        self._install(cset, index, tag, write)
-        return False
+        raise NotImplementedError
 
     def probe(self, line: int) -> bool:
         """Check residency without updating replacement state or counters."""
-        index = line & self._set_mask
-        return line in self._sets[index]
-
-    # ------------------------------------------------------------------
-    def _install(self, cset: OrderedDict, index: int, tag: int, write: bool) -> None:
-        ways = self.config.ways
-        if len(cset) >= ways:
-            self._evict(cset)
-        if self._policy == "lru":
-            cset[tag] = 0
-            return
-        hot = self._policy == "grasp" and self._is_hot(tag)
-        if hot:
-            cset[tag] = 0
-            return
-        cset[tag] = self._insertion_rrpv(index)
-
-    def _insertion_rrpv(self, index: int) -> int:
-        mod = index & 63
-        if mod == 0:  # SRRIP leader set
-            use_brip = False
-        elif mod == 32:  # BRRIP leader set
-            use_brip = True
-        else:
-            use_brip = self._psel < 512
-        if not use_brip:
-            return self.RRPV_MAX - 1
-        # BRRIP: distant insertion except 1-in-32 accesses.
-        self._brip_counter = (self._brip_counter + 1) & 31
-        return self.RRPV_MAX - 1 if self._brip_counter == 0 else self.RRPV_MAX
-
-    def _evict(self, cset: OrderedDict) -> None:
-        self.writebacks += 1
-        if self._policy == "lru":
-            cset.popitem(last=False)
-            return
-        # RRIP victim search: evict a line with RRPV == max, aging otherwise.
-        # GRASP never ages hot lines past max-1, preferring cold victims.
-        while True:
-            victim: Optional[int] = None
-            for tag, rrpv in cset.items():
-                if rrpv >= self.RRPV_MAX:
-                    victim = tag
-                    break
-            if victim is not None:
-                del cset[victim]
-                return
-            for tag in cset:
-                if self._policy == "grasp" and self._is_hot(tag):
-                    cset[tag] = min(cset[tag] + 1, self.RRPV_MAX - 1)
-                else:
-                    cset[tag] = cset[tag] + 1
-
-    # ------------------------------------------------------------------
-    def note_duel_outcome(self, index: int, hit: bool) -> None:
-        """Update the set-dueling selector (called by the hierarchy on L3
-        accesses to leader sets)."""
-        mod = index & 63
-        if mod == 0:  # SRRIP leader: misses push toward BRRIP
-            if not hit:
-                self._psel = max(0, self._psel - 1)
-        elif mod == 32:
-            if not hit:
-                self._psel = min(1023, self._psel + 1)
+        return line in self._sets[line & self._set_mask]
 
     @property
     def accesses(self) -> int:
@@ -200,6 +126,126 @@ class Cache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Cache(policy={self._policy}, sets={self.num_sets}, "
-            f"ways={self.config.ways}, hits={self.hits}, misses={self.misses})"
+            f"{type(self).__name__}(sets={self.num_sets}, "
+            f"ways={self.ways}, hits={self.hits}, misses={self.misses})"
         )
+
+
+class LRUCache(Cache):
+    """Least-recently-used: each set is ordered oldest first."""
+
+    __slots__ = ()
+
+    policy = "lru"
+
+    def access(self, line: int, write: bool = False) -> bool:
+        cset = self._sets[line & self._set_mask]
+        if line in cset:
+            self.hits += 1
+            cset.move_to_end(line)
+            return True
+        self.misses += 1
+        if len(cset) >= self.ways:
+            cset.popitem(False)
+            self.writebacks += 1
+        cset[line] = 0
+        return False
+
+
+class RRIPCache(Cache):
+    """DRRIP: SRRIP/BRRIP set dueling.  Sets 0 mod 64 follow SRRIP, 32 mod
+    64 follow BRRIP, the rest follow the winner via a saturating selector
+    that the hierarchy moves on leader-set L3 misses."""
+
+    __slots__ = ("_brip_counter", "_psel")
+
+    policy = "drrip"
+
+    def __init__(self, config: CacheConfig, line_bytes: int = 64) -> None:
+        super().__init__(config, line_bytes)
+        self._brip_counter = 0
+        self._psel = PSEL_MID
+
+    def access(self, line: int, write: bool = False) -> bool:
+        index = line & self._set_mask
+        cset = self._sets[index]
+        if line in cset:
+            self.hits += 1
+            cset[line] = 0  # promote to near-immediate re-reference
+            return True
+        self.misses += 1
+        if len(cset) >= self.ways:
+            self.writebacks += 1
+            self._evict(cset)
+        cset[line] = self._insertion_rrpv(index, line)
+        return False
+
+    def _insertion_rrpv(self, index: int, line: int) -> int:
+        mod = index & 63
+        if mod == 0:  # SRRIP leader set
+            return RRPV_MAX - 1
+        if mod != 32 and self._psel >= PSEL_MID:  # follower, SRRIP winning
+            return RRPV_MAX - 1
+        # BRRIP: distant insertion except 1-in-32 accesses.
+        self._brip_counter = (self._brip_counter + 1) & 31
+        return RRPV_MAX - 1 if self._brip_counter == 0 else RRPV_MAX
+
+    def _evict(self, cset: dict) -> None:
+        """Evict the first line (in insertion order) predicted distant.
+
+        The reference search ages every line by one until some line is at
+        ``RRPV_MAX``; all lines age alike, so that is the first line at
+        the set's largest RRPV after ageing everything by the gap."""
+        distant = max(cset.values())
+        for victim, rrpv in cset.items():
+            if rrpv == distant:
+                break
+        if distant < RRPV_MAX:
+            gap = RRPV_MAX - distant
+            for line in cset:
+                cset[line] += gap
+        del cset[victim]
+
+    def note_duel_outcome(self, index: int, hit: bool) -> None:
+        """Update the set-dueling selector for an access to set ``index``
+        (the hierarchy applies the same rule inline on L3 accesses)."""
+        if hit:
+            return
+        mod = index & 63
+        if mod == 0:  # SRRIP leader missed: push toward BRRIP
+            if self._psel > 0:
+                self._psel -= 1
+        elif mod == 32:  # BRRIP leader missed: push back
+            if self._psel < PSEL_MAX:
+                self._psel += 1
+
+
+class GRASPCache(RRIPCache):
+    """DRRIP plus hot-region hints: hot lines insert at RRPV 0 and never age
+    past ``RRPV_MAX - 1``, so cold lines are evicted first."""
+
+    __slots__ = ()
+
+    policy = "grasp"
+
+    def _insertion_rrpv(self, index: int, line: int) -> int:
+        if self._is_hot(line):
+            return 0
+        return RRIPCache._insertion_rrpv(self, index, line)
+
+    def _evict(self, cset: dict) -> None:
+        # Ageing caps hot lines, so the shortcut of RRIPCache does not hold.
+        is_hot = self._is_hot
+        while True:
+            for victim, rrpv in cset.items():
+                if rrpv >= RRPV_MAX:
+                    del cset[victim]
+                    return
+            for line in cset:
+                if is_hot(line):
+                    cset[line] = min(cset[line] + 1, RRPV_MAX - 1)
+                else:
+                    cset[line] += 1
+
+
+_POLICY_CLASSES = {cls.policy: cls for cls in (LRUCache, RRIPCache, GRASPCache)}

@@ -90,6 +90,12 @@ class HardwareConfig:
             raise ValueError("num_cores must be >= 1")
         if self.fidelity not in ("detailed", "fast"):
             raise ValueError("fidelity must be 'detailed' or 'fast'")
+        if self.l1d.policy != "lru" or self.l2.policy != "lru":
+            # MemorySystem walks the private levels inline as LRU caches
+            raise ValueError(
+                "private L1D/L2 caches are LRU (Table II); replacement "
+                "policies apply to the shared L3"
+            )
         if self.mesh_width * self.mesh_height < max(
             self.num_cores, self.l3_banks
         ):

@@ -12,12 +12,13 @@ figures compare like with like.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, List, Optional
 
 from ..algorithms.base import Algorithm
 from ..algorithms.detect import AccumKind, detect_accum_kind
 from ..algorithms.reference import symmetrize
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, CSRLists
 from ..graph.partition import Partitioning, by_edge_count
 from ..hardware.config import HardwareConfig
 from ..hardware.hierarchy import MemorySystem
@@ -32,6 +33,11 @@ BARRIER_PER_LOG_CORE = 40
 #: flat per-access memory cost used by the "fast" fidelity mode (roughly
 #: the detailed model's average across hit levels)
 FAST_MEM_CYCLES = 24.0
+
+
+def _fast_access(core: int, addr: int, write: bool = False, now: float = 0.0) -> float:
+    """The fast fidelity's memory access: a flat cost, no hierarchy walk."""
+    return FAST_MEM_CYCLES
 
 
 class SimContext:
@@ -117,16 +123,21 @@ class SimContext:
         # redundant updates.
         self.staged: List[dict] = [dict() for _ in range(cores)]
 
-        # Charging dispatch is resolved once, here, instead of branching on
-        # fidelity inside every call: the fast-mode variants shadow the
-        # detailed methods as instance attributes.  The cycle numbers each
-        # variant produces are identical to the old branchy forms — this
-        # only removes per-access Python overhead.
-        if self.fast:
-            self.charge_mem = self._charge_mem_fast
-            self.charge_rmw = self._charge_rmw_fast
-            self.mem_cost = self._mem_cost_fast
-        self._access = self.memsys.access
+        #: one memory access, ``(core, addr, write, now) -> cycles``:
+        #: fidelity is resolved once, here — the tag-accurate hierarchy
+        #: walk, or the fast mode's flat cost.  Every charge below goes
+        #: through it, and so may hot loops that fuse their charging.
+        self.mem_access = _fast_access if self.fast else self.memsys.access
+        # 8-byte state/delta elements (MemoryLayout), addressed inline as
+        # base + 8 * vertex on the per-edge paths
+        self.states_base = self.layout.states.base
+        self.deltas_base = self.layout.deltas.base
+
+    @cached_property
+    def csr(self) -> CSRLists:
+        """The run graph's list view, built on first use and shared by
+        every walker and per-edge loop of the run."""
+        return self.graph.list_view()
 
     # ------------------------------------------------------------------
     # Charging primitives.
@@ -134,17 +145,7 @@ class SimContext:
     def charge_mem(
         self, core: int, addr: int, write: bool = False, state: bool = False
     ) -> float:
-        cycles = self._access(core, addr, write, now=self.clock[core])
-        self.clock[core] += cycles
-        self.mem[core] += cycles
-        if state:
-            self.state_mem[core] += cycles
-        return cycles
-
-    def _charge_mem_fast(
-        self, core: int, addr: int, write: bool = False, state: bool = False
-    ) -> float:
-        cycles = FAST_MEM_CYCLES
+        cycles = self.mem_access(core, addr, write, self.clock[core])
         self.clock[core] += cycles
         self.mem[core] += cycles
         if state:
@@ -155,15 +156,7 @@ class SimContext:
         """A read-modify-write to one location (scatter accumulation): one
         hierarchy walk; the write hits the just-installed line.  Scatters
         target the delta array, so they count as state traffic by default."""
-        cycles = self._access(core, addr, True, now=self.clock[core]) + 1
-        self.clock[core] += cycles
-        self.mem[core] += cycles
-        if state:
-            self.state_mem[core] += cycles
-        return cycles
-
-    def _charge_rmw_fast(self, core: int, addr: int, state: bool = True) -> float:
-        cycles = FAST_MEM_CYCLES + 1
+        cycles = self.mem_access(core, addr, True, self.clock[core]) + 1
         self.clock[core] += cycles
         self.mem[core] += cycles
         if state:
@@ -183,10 +176,7 @@ class SimContext:
     def mem_cost(self, core: int, addr: int, write: bool = False) -> float:
         """Memory access whose latency the caller will attribute itself
         (used by engine timelines that run off the core clock)."""
-        return self._access(core, addr, write, now=self.clock[core])
-
-    def _mem_cost_fast(self, core: int, addr: int, write: bool = False) -> float:
-        return FAST_MEM_CYCLES
+        return self.mem_access(core, addr, write, self.clock[core])
 
     # ------------------------------------------------------------------
     # Fused charge sequences (the entry/exit charging every family runs
@@ -196,18 +186,18 @@ class SimContext:
     def charge_state_entry(self, core: int, vertex: int) -> None:
         """Delta read then state read for ``vertex`` — the charge sequence
         at the head of every family's vertex processing."""
-        layout = self.layout
+        offset = 8 * vertex
         charge_mem = self.charge_mem
-        charge_mem(core, layout.deltas.addr(vertex), state=True)
-        charge_mem(core, layout.states.addr(vertex), state=True)
+        charge_mem(core, self.deltas_base + offset, False, True)
+        charge_mem(core, self.states_base + offset, False, True)
 
     def charge_state_update(self, core: int, vertex: int) -> None:
         """State write, delta write, then the update-op compute charge —
         the post-apply sequence shared by every family."""
-        layout = self.layout
+        offset = 8 * vertex
         charge_mem = self.charge_mem
-        charge_mem(core, layout.states.addr(vertex), write=True, state=True)
-        charge_mem(core, layout.deltas.addr(vertex), write=True, state=True)
+        charge_mem(core, self.states_base + offset, True, True)
+        charge_mem(core, self.deltas_base + offset, True, True)
         self.charge_compute(core, self.timing.update_op)
 
     # ------------------------------------------------------------------

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from ..accel.hats import HATSScheduler, PrefetchTimeline
 from ..accel.phi import PHIUpdateBuffer
 from ..algorithms.base import Algorithm
@@ -149,6 +151,15 @@ class _RoundEngine:
             if policy.ordering in ("hats", "dfs")
             else None
         )
+        self.targets = ctx.csr.targets
+        #: per-edge weights as the scatter loop passes them to EdgeCompute:
+        #: the list view's Python floats compute exactly like float64
+        #: array elements, but float32 elements stay numpy scalars, whose
+        #: arithmetic rounds to float32 as indexing the array always did
+        self.weights = ctx.csr.weights
+        weights = ctx.graph.weights
+        if weights is not None and weights.dtype != np.float64:
+            self.weights = list(weights)
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
@@ -311,10 +322,7 @@ class _RoundEngine:
         ctx = self.ctx
         policy = self.policy
         algorithm = ctx.algorithm
-        graph = ctx.graph
-        layout = ctx.layout
         timing = ctx.timing
-        line = ctx.hardware.line_bytes
 
         ctx.charge_overhead(core, timing.dispatch_op)
         ctx.charge_state_entry(core, vertex)
@@ -333,53 +341,103 @@ class _RoundEngine:
         ctx.charge_state_update(core, vertex)
         if ctx.is_sum and value == 0.0:
             return
+        self._scatter(core, vertex, value)
 
-        self._read_stream(core, layout.offsets.addr(vertex))
-        begin, end = graph.edge_range(vertex)
+    def _scatter(self, core: int, vertex: int, value: float) -> None:
+        """Push ``vertex``'s propagated value along its out-edges: stream
+        the edge (and weight) lines, compute each influence, fold it into
+        the core's staged view of the target, charge the scatter, and
+        activate targets that became significant.  The charges are
+        SimContext's, fused inline (same cycle arithmetic, fewer frames)."""
+        ctx = self.ctx
+        policy = self.policy
+        algorithm = ctx.algorithm
+        edge_compute = algorithm.edge_compute
+        accum = algorithm.accum
+        is_significant = algorithm.is_significant
+        graph = ctx.graph
+        layout = ctx.layout
+        mem_access = ctx.mem_access
+        clock, compute, mem = ctx.clock, ctx.compute, ctx.mem
+        overhead, state_mem = ctx.overhead, ctx.state_mem
+        pending, states = ctx.pending, ctx.states
+        staged = ctx.staged[core]
+        in_next = self.in_next
+        read_stream = (
+            ctx.charge_mem if self.prefetchers is None else self._read_stream
+        )
+        phi = self.phi_buffers[core] if self.phi_buffers is not None else None
+        line_shift = ctx.hardware.line_bytes.bit_length() - 1
+        targets_base = layout.targets.base
+        weights_base = layout.weights.base
+        states_base, deltas_base = ctx.states_base, ctx.deltas_base
+        timing = ctx.timing
+        edge_cycles = (
+            timing.edge_op / timing.simd_factor if ctx.simd else timing.edge_op
+        )
+        atomic_cycles = policy.atomic_cycles if ctx.num_cores > 1 else 0
+        check_state = not ctx.is_sum
+        targets = self.targets
+        weights = self.weights
+
+        read_stream(core, layout.offsets.addr(vertex))
+        offsets = ctx.csr.offsets
         last_target_line = -1
         last_weight_line = -1
-        multicore = ctx.num_cores > 1
-        for e in range(begin, end):
-            target_addr = layout.targets.addr(e)
-            if target_addr // line != last_target_line:
-                last_target_line = target_addr // line
-                self._read_stream(core, target_addr)
-            target = int(graph.targets[e])
-            if graph.is_weighted:
-                weight_addr = layout.weights.addr(e)
-                if weight_addr // line != last_weight_line:
-                    last_weight_line = weight_addr // line
-                    self._read_stream(core, weight_addr)
-                weight = graph.weights[e]
-            else:
+        for e in range(offsets[vertex], offsets[vertex + 1]):
+            target_addr = targets_base + 8 * e
+            if target_addr >> line_shift != last_target_line:
+                last_target_line = target_addr >> line_shift
+                read_stream(core, target_addr)
+            target = targets[e]
+            if weights is None:
                 weight = 1.0
-            influence = algorithm.edge_compute(vertex, value, weight, graph)
-            ctx.edge_ops += 1
-            ctx.charge_compute(core, timing.edge_op)
-            visible = ctx.stage_scatter(core, target, influence)
-            delta_addr = layout.deltas.addr(target)
-            if self.phi_buffers is not None:
-                if not self.phi_buffers[core].scatter(delta_addr // line):
-                    ctx.charge_mem(core, delta_addr, write=True)
+            else:
+                weight_addr = weights_base + 8 * e
+                if weight_addr >> line_shift != last_weight_line:
+                    last_weight_line = weight_addr >> line_shift
+                    read_stream(core, weight_addr)
+                weight = weights[e]
+            influence = edge_compute(vertex, value, weight, graph)
+            clock[core] += edge_cycles
+            compute[core] += edge_cycles
+            # stage the scatter (SimContext.stage_scatter)
+            prior = staged.get(target)
+            folded = influence if prior is None else accum(prior, influence)
+            staged[target] = folded
+            visible = accum(pending[target], folded)
+            delta_addr = deltas_base + 8 * target
+            if phi is not None:
+                if not phi.scatter(delta_addr >> line_shift):
+                    ctx.charge_mem(core, delta_addr, True)
                 else:
                     ctx.charge_compute(core, 1)
             else:
-                ctx.charge_rmw(core, delta_addr)
-                if multicore:
-                    ctx.charge_overhead(core, policy.atomic_cycles)
+                # read-modify-write of the delta (SimContext.charge_rmw)
+                cycles = mem_access(core, delta_addr, True, clock[core]) + 1
+                clock[core] += cycles
+                mem[core] += cycles
+                state_mem[core] += cycles
+                if atomic_cycles:
+                    clock[core] += atomic_cycles
+                    overhead[core] += atomic_cycles
             # activation test against what this core can see
-            if not ctx.is_sum:
-                ctx.charge_mem(core, layout.states.addr(target), state=True)
-            if not self.in_next[target] and algorithm.is_significant(
-                visible, ctx.states[target]
-            ):
+            if check_state:
+                cycles = mem_access(
+                    core, states_base + 8 * target, False, clock[core]
+                )
+                clock[core] += cycles
+                mem[core] += cycles
+                state_mem[core] += cycles
+            if not in_next[target] and is_significant(visible, states[target]):
                 self._activate(target)
                 owner = ctx.owner_of(target)
                 ctx.charge_mem(
                     core,
                     layout.queues.addr(owner % layout.queues.length),
-                    write=True,
+                    True,
                 )
+        ctx.edge_ops += offsets[vertex + 1] - offsets[vertex]
 
     # ------------------------------------------------------------------
     def _flush_phi(self) -> None:

@@ -48,11 +48,16 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ... import algorithms as algorithms_mod
 from ...graph.csr import CSRGraph
 from ...observe import MetricRegistry, aggregate_metrics
 from ..batching import Batcher
-from ..engine import ParamsKey, QueryKey, canonical_params, lineage_label
+from ..engine import (
+    ParamsKey,
+    QueryKey,
+    canonical_params,
+    lineage_label,
+    validate_query,
+)
 from ..service import (
     STATUS_OK,
     STATUS_SHED_DEADLINE,
@@ -277,12 +282,9 @@ class ClusterService:
             return response
         resolved = self.store.latest_version if version is None else version
         self.store.get(resolved)  # validate
-        # validate the query itself at admission: a bad algorithm/params
-        # must bounce here (HTTP 400), not poison a dispatched batch
-        try:
-            algorithms_mod.make(algorithm, **dict(params or {}))
-        except KeyError as exc:
-            raise ValueError(str(exc)) from None
+        # a bad algorithm/params must bounce here (HTTP 400), not poison
+        # a dispatched batch
+        validate_query(algorithm, params)
         deadline = (
             self.config.default_deadline_cycles
             if deadline_cycles is None

@@ -63,6 +63,17 @@ def canonical_params(params: Optional[dict]) -> ParamsKey:
     return tuple(sorted(params.items()))
 
 
+def validate_query(algorithm: str, params: Optional[dict]) -> None:
+    """The admission check every front door runs before queueing a query:
+    ``algorithm`` must be registered and accept ``params``.  Raises
+    ValueError otherwise, so a bad query bounces at the edge instead of
+    failing its dispatched batch."""
+    try:
+        algorithms_mod.make(algorithm, **dict(params or {}))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(str(exc)) from None
+
+
 def lineage_label(algorithm: str, params: ParamsKey) -> str:
     """The human-readable identity of one query lineage (no version)."""
     inner = ",".join(f"{k}={v}" for k, v in params)

@@ -30,7 +30,13 @@ from ..graph.csr import CSRGraph
 from ..hardware.config import HardwareConfig
 from ..observe import MetricRegistry
 from .batching import Batcher, ResultCache
-from .engine import EngineRun, QueryEngine, QueryKey, canonical_params
+from .engine import (
+    EngineRun,
+    QueryEngine,
+    QueryKey,
+    canonical_params,
+    validate_query,
+)
 from .store import GraphDelta, GraphStore, GraphVersion
 from .warmstart import FALLBACK_NO_BASELINE
 
@@ -212,7 +218,9 @@ class GraphService:
         the snapshot-isolation point; updates applied later never bleed
         into an already-admitted request.  A full queue sheds the newest
         arrival (deterministic reject-new backpressure) and returns the
-        terminal :class:`ServeResponse` immediately.
+        terminal :class:`ServeResponse` immediately.  An unknown version
+        (KeyError) or a query naming an unknown algorithm or parameter
+        (ValueError) raises before anything is queued.
         """
         metrics = self.metrics
         metrics.inc("serve.submitted")
@@ -230,6 +238,7 @@ class GraphService:
             self.store.latest_version if version is None else version
         )
         self.store.get(resolved)  # validate
+        validate_query(algorithm, params)
         deadline = (
             self.config.default_deadline_cycles
             if deadline_cycles is None

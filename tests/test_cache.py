@@ -1,8 +1,14 @@
-"""Tests for the cache models (LRU / DRRIP / GRASP) and the hierarchy."""
+"""Tests for the cache models (LRU / DRRIP / GRASP) and the hierarchy,
+including differential tests of the policy-specialised caches and the
+fused hierarchy walk against a brute-force reference model."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hardware.cache import Cache
+from repro.hardware.cache import Cache, GRASPCache, LRUCache, RRIPCache
 from repro.hardware.config import CacheConfig, HardwareConfig
 from repro.hardware.hierarchy import MemorySystem
 from repro.hardware.noc import MeshNoC
@@ -106,6 +112,158 @@ class TestGRASP:
         c.add_hot_range(0, 10)
         c.clear_hot_ranges()
         assert not c._is_hot(5)
+
+
+class RefCache:
+    """Brute-force reference: each set is a list of ``[line, rrpv]`` in
+    insertion order; RRIP eviction ages one step at a time, as the
+    policies are defined."""
+
+    def __init__(self, num_sets, ways, policy, hot=()):
+        self.sets = [[] for _ in range(num_sets)]
+        self.ways, self.policy, self.hot = ways, policy, list(hot)
+        self.psel, self.brip = 512, 0
+        self.hits = self.misses = self.writebacks = 0
+
+    def is_hot(self, line):
+        return self.policy == "grasp" and any(b <= line < e for b, e in self.hot)
+
+    def access(self, line):
+        index = line % len(self.sets)
+        cset = self.sets[index]
+        for entry in cset:
+            if entry[0] == line:
+                self.hits += 1
+                if self.policy == "lru":
+                    cset.remove(entry)
+                    cset.append(entry)
+                else:
+                    entry[1] = 0
+                return True
+        self.misses += 1
+        if len(cset) >= self.ways:
+            self.writebacks += 1
+            if self.policy == "lru":
+                cset.pop(0)
+            else:
+                while not any(rrpv >= 3 for _, rrpv in cset):
+                    for entry in cset:
+                        entry[1] = min(entry[1] + 1, 2) if self.is_hot(entry[0]) else entry[1] + 1
+                cset.remove(next(e for e in cset if e[1] >= 3))
+        rrpv = 0
+        if self.policy != "lru" and not self.is_hot(line):
+            mod = index % 64
+            rrpv = 2
+            if mod == 32 or (mod != 0 and self.psel < 512):  # BRRIP
+                self.brip = (self.brip + 1) % 32
+                rrpv = 2 if self.brip == 0 else 3
+        cset.append([line, rrpv])
+        return False
+
+    def duel(self, index, hit):
+        if not hit and index % 64 == 0:
+            self.psel = max(0, self.psel - 1)
+        elif not hit and index % 64 == 32:
+            self.psel = min(1023, self.psel + 1)
+
+    def resident(self, line):
+        return any(e[0] == line for e in self.sets[line % len(self.sets)])
+
+
+#: (set-index choices, tag range): a few sets, including both leader sets
+#: once there are 64 of them, and enough tags per set to force evictions
+TRACE = st.lists(
+    st.tuples(st.sampled_from([0, 1, 32, 33, 63]), st.integers(0, 11)),
+    max_size=300,
+)
+
+
+class TestPolicyDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy=st.sampled_from(["lru", "drrip", "grasp"]),
+        num_sets=st.sampled_from([1, 2, 64]),
+        ways=st.sampled_from([1, 2, 4]),
+        trace=TRACE,
+    )
+    def test_matches_reference(self, policy, num_sets, ways, trace):
+        cache = Cache(CacheConfig(64 * ways * num_sets, ways, 4, policy))
+        classes = {"lru": LRUCache, "drrip": RRIPCache, "grasp": GRASPCache}
+        assert type(cache) is classes[policy]
+        # ways - 1 hot lines per set, so every full set holds a cold line
+        # (GRASP ages hot lines no further than RRPV_MAX - 1)
+        hot = [(0, (ways - 1) * cache.num_sets)]
+        ref = RefCache(cache.num_sets, ways, policy, hot)
+        for begin, end in hot:
+            cache.add_hot_range(begin, end)
+        for set_choice, tag in trace:
+            index = set_choice % cache.num_sets
+            line = tag * cache.num_sets + index
+            hit = cache.access(line)
+            assert hit == ref.access(line)
+            if policy != "lru":
+                cache.note_duel_outcome(index, hit)
+                ref.duel(index, hit)
+                assert cache._psel == ref.psel
+            assert (cache.hits, cache.misses, cache.writebacks) == (
+                ref.hits, ref.misses, ref.writebacks,
+            )
+        for tag in range(12):
+            for index in range(cache.num_sets):
+                line = tag * cache.num_sets + index
+                assert cache.probe(line) == ref.resident(line)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        policy=st.sampled_from(["lru", "drrip", "grasp"]),
+        trace=st.lists(
+            st.tuples(
+                st.integers(0, 1),  # core
+                st.sampled_from([0, 1, 32, 33]),  # L3 set, leaders included
+                st.integers(0, 40),  # tag
+            ),
+            max_size=400,
+        ),
+    )
+    def test_hierarchy_walk_matches_reference(self, policy, trace):
+        """The fused L1/L2 walk, the L3 bank policy and the inline duel
+        against a reference walk over reference caches."""
+        # two 2-way L3 banks of 64 sets: evictions and both leader sets
+        hw = replace(HardwareConfig.scaled(num_cores=2), l3_banks=2).with_l3(
+            policy=policy, ways=2, size_bytes=2 * 64 * 2 * 64
+        )
+        ms = MemorySystem(hw)
+        ms.add_hot_range(0, 64 * 64)  # lines [0, 64): one per L3 set
+        l1 = [RefCache(ms.l1[0].num_sets, hw.l1d.ways, "lru") for _ in range(2)]
+        l2 = [RefCache(ms.l2[0].num_sets, hw.l2.ways, "lru") for _ in range(2)]
+        l3 = [RefCache(64, 2, policy, [(0, 64)]) for _ in ms.l3]
+        assert [bank.num_sets for bank in ms.l3] == [64, 64]
+        noc = MeshNoC(hw.mesh_width, hw.mesh_height, hw.noc_hop_cycles)
+        want = dict.fromkeys(ms.stats.as_dict(), 0)
+        for core, index, tag in trace:
+            line = index + 64 * tag
+            latency = hw.l1d.latency
+            if l1[core].access(line):
+                want["l1_hits"] += 1
+            elif l2[core].access(line):
+                want["l2_hits"] += 1
+                latency += hw.l2.latency
+            else:
+                bank = (line ^ (line >> 7)) % hw.l3_banks
+                hops = noc.hops(core, bank)
+                want["noc_hop_count"] += 2 * hops
+                latency += hw.l2.latency + 2 * hops * hw.noc_hop_cycles + hw.l3.latency
+                hit = l3[bank].access(line)
+                l3[bank].duel(index, hit)
+                if hit:
+                    want["l3_hits"] += 1
+                else:
+                    want["dram_accesses"] += 1
+                    latency += hw.dram_latency
+            assert ms.access(core, line * 64) == latency
+        assert ms.stats.as_dict() == want
+        if policy != "lru":
+            assert [bank._psel for bank in ms.l3] == [ref.psel for ref in l3]
 
 
 class TestMeshNoC:

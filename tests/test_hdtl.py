@@ -1,5 +1,7 @@
 """Tests for the HDTL traversal walker, the edge buffer, and the queue."""
 
+from typing import NamedTuple, Tuple
+
 import pytest
 
 from repro.accel.depgraph.edge_buffer import (
@@ -7,27 +9,46 @@ from repro.accel.depgraph.edge_buffer import (
     FIFOEdgeBuffer,
     PrefetchedEdge,
 )
-from repro.accel.depgraph.hdtl import HDTL, EdgeFetch, PathEnd
+from repro.accel.depgraph.hdtl import HDTL
 from repro.accel.depgraph.queue import LocalCircularQueue
 from repro.graph.csr import CSRGraph
 
 
+class EdgeFetch(NamedTuple):
+    """One ``on_edge`` call, as recorded by :func:`drive`."""
+
+    source: int
+    target: int
+    weight: float
+    depth: int
+
+
+class PathEnd(NamedTuple):
+    """One ``on_path_end`` call, as recorded by :func:`drive`."""
+
+    path: Tuple[int, ...]
+    reason: str
+
+    @property
+    def endpoint(self) -> int:
+        return self.path[-1]
+
+
 def drive(walker, root, visited, descend_all=True, decider=None):
-    """Run a traversal, collecting events; descend decisions come from
-    ``decider(event)`` or default to descend-everything."""
+    """Run a walk, recording its callbacks in call order; descend
+    decisions come from ``decider(event)`` or default to
+    descend-everything."""
     events = []
-    gen = walker.traverse(root, visited)
-    response = None
-    while True:
-        try:
-            event = gen.send(response) if response is not None else next(gen)
-        except StopIteration:
-            break
+
+    def on_edge(source, target, weight, depth):
+        event = EdgeFetch(source, target, weight, depth)
         events.append(event)
-        if isinstance(event, EdgeFetch):
-            response = decider(event) if decider else descend_all
-        else:
-            response = False
+        return decider(event) if decider else descend_all
+
+    def on_path_end(path, reason):
+        events.append(PathEnd(path, reason))
+
+    walker.walk(root, visited, on_edge, on_path_end)
     return events
 
 
@@ -102,7 +123,8 @@ class TestHDTLTraversal:
 
     def test_partition_boundary(self):
         g = chain(6)
-        walker = HDTL(g, lambda v: False, in_partition=lambda v: v < 3)
+        walker = HDTL(g, lambda v: False)
+        walker.part_begin, walker.part_end = 0, 3
         events = drive(walker, 0, set())
         ends = [e for e in events if isinstance(e, PathEnd)]
         assert len(ends) == 1
@@ -118,6 +140,44 @@ class TestHDTLTraversal:
         assert "neighbor" in fetched
         assert "weight" in fetched
         assert "state" in fetched
+
+    def test_line_granular_fetches(self):
+        # vertex 0 fans out to 1..16: with 8 elements per line its 16
+        # edges span two neighbour lines and two weight lines
+        g = CSRGraph.from_edges(
+            17, [(0, t) for t in range(1, 17)], weights=[1.0] * 16
+        )
+        fetched = []
+        walker = HDTL(
+            g, lambda v: False, fetch=lambda k, i: fetched.append((k, i)),
+            line_elements=8,
+        )
+        drive(walker, 0, set(), descend_all=False)
+        assert [i for k, i in fetched if k == "neighbor"] == [0, 8]
+        assert [i for k, i in fetched if k == "weight"] == [0, 8]
+        assert [i for k, i in fetched if k == "state"] == list(range(1, 17))
+        assert [i for k, i in fetched if k == "offset"] == [0]
+        # the last lines persist across walks until the walker is reset
+        fetched.clear()
+        drive(walker, 0, set(), descend_all=False)
+        assert [i for k, i in fetched if k == "neighbor"] == [0, 8]
+        assert [k for k, i in fetched].count("offset") == 0
+        walker.reset_lines()
+        fetched.clear()
+        drive(walker, 0, set(), descend_all=False)
+        assert [i for k, i in fetched if k == "offset"] == [0]
+
+    def test_invalid_line_elements(self):
+        with pytest.raises(ValueError):
+            HDTL(chain(2), lambda v: False, line_elements=3)
+
+    def test_walkers_share_one_list_view(self):
+        g = chain(4)
+        csr = g.list_view()
+        walkers = [HDTL(g, lambda v: False, csr=csr) for _ in range(3)]
+        assert all(w.csr is csr for w in walkers)
+        events = drive(walkers[1], 0, set())
+        assert [e.target for e in events if isinstance(e, EdgeFetch)] == [1, 2, 3, 4]
 
     def test_invalid_stack_depth(self):
         g = chain(2)

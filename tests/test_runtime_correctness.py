@@ -14,6 +14,7 @@ import pytest
 from repro import algorithms, runtime
 from repro.algorithms import reference
 from repro.graph import generators
+from repro.graph.csr import CSRGraph
 from repro.hardware import HardwareConfig
 
 CORES4 = HardwareConfig.scaled(num_cores=4)
@@ -190,3 +191,43 @@ class TestUnknownSystem:
     def test_unknown_name_raises(self, graph):
         with pytest.raises(KeyError):
             runtime.run("spark", graph, algorithms.SSSP(0), CORES4)
+
+
+class TestFloat32WeightArithmetic:
+    """The per-edge loops read weights from list views built once per run;
+    the arithmetic types must stay those of indexing the weight array:
+    the frontier systems add float32 numpy scalars (so sums round to
+    float32), HDTL hands out ``CSRGraph.edge_weight`` floats."""
+
+    def chain(self):
+        n = 12
+        weights = [0.1 * (i + 1) for i in range(n - 1)]
+        graph = CSRGraph.from_edges(
+            n,
+            [(i, i + 1) for i in range(n - 1)],
+            weights=weights,
+            weight_dtype=np.float32,
+        )
+        as32 = np.asarray(weights, dtype=np.float32)
+        float32_sums = np.concatenate(
+            [[0.0], np.cumsum(as32, dtype=np.float32)]
+        ).astype(np.float64)
+        float64_sums = np.concatenate([[0.0], np.cumsum(as32.astype(np.float64))])
+        assert not np.array_equal(float32_sums, float64_sums)
+        return graph, float32_sums, float64_sums
+
+    @pytest.mark.parametrize("system", ["ligra", "ligra-o", "minnow"])
+    def test_frontier_systems_round_to_float32(self, system):
+        graph, float32_sums, _ = self.chain()
+        result = runtime.run(
+            system, graph, algorithms.make("sssp", source=0), CORES4
+        )
+        assert np.array_equal(result.states, float32_sums)
+
+    @pytest.mark.parametrize("system", ["depgraph-h", "depgraph-s"])
+    def test_hdtl_systems_add_in_float64(self, system):
+        graph, _, float64_sums = self.chain()
+        result = runtime.run(
+            system, graph, algorithms.make("sssp", source=0), CORES4
+        )
+        assert np.array_equal(result.states, float64_sums)

@@ -353,6 +353,46 @@ class TestGraphService:
         assert not isinstance(shed, int) and shed.status == "shed-queue"
         assert service.metrics_snapshot()["obs.serve.shed_queue"] == 1.0
 
+    def test_bad_query_rejected_at_admission(self):
+        service = make_service()
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            service.submit("no-such-algorithm")
+        with pytest.raises(ValueError):
+            service.submit("sssp", {"no_such_param": 1})
+        with pytest.raises(ValueError):
+            service.submit("sssp", {"source": -1})
+        assert len(service.batcher) == 0
+        assert service.drain() == []
+        snapshot = service.metrics_snapshot()
+        assert snapshot["obs.serve.submitted"] == 3.0
+        assert snapshot["obs.serve.admitted"] == 0.0
+
+    def test_every_admitted_request_gets_one_terminal_response(self):
+        service = make_service(queue_limit=3)
+        admitted, terminal = [], []
+        queries = [
+            ("pagerank", None), ("no-such-algorithm", None),
+            ("sssp", {"source": 0}), ("sssp", {"bogus": 2}),
+            ("wcc", None), ("bfs", None), ("sssp", {"source": 0}),
+        ]
+        for algorithm, params in queries:
+            try:
+                outcome = service.submit(algorithm, params)
+            except ValueError:
+                continue
+            if isinstance(outcome, int):
+                admitted.append(outcome)
+            else:
+                terminal.append(outcome)  # shed at admission
+        terminal += service.drain()
+        assert len(admitted) == 3 and len(terminal) == 5
+        ids = [response.request_id for response in terminal]
+        assert sorted(ids) == sorted(set(ids))
+        assert set(admitted) <= set(ids)
+        assert set(ids) == set(admitted) | {
+            r.request_id for r in terminal if r.status == "shed-queue"
+        }
+
     def test_deadline_expired_at_dispatch_is_shed(self):
         service = make_service()
         service.submit("pagerank")  # first group: advances the clock
