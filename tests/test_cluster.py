@@ -37,6 +37,12 @@ from repro.serve.cluster import (
 from repro.serve.cluster.routing import score
 from repro.serve.traffic import TrafficConfig
 from repro.serve.warmstart import FALLBACK_COMPACTED
+from tests.goldens.serving_script import (
+    golden_config,
+    golden_graph,
+    response_rows,
+    run_script,
+)
 
 
 def small_graph():
@@ -304,6 +310,126 @@ class TestCompaction:
             assert all(r.ok for r in service.drain())
             snapshot = service.metrics_snapshot()
         assert snapshot["obs.cluster.compactions"] == 1.0
+
+
+#: the fixed serving script (tests/goldens/serving_script.py) on a
+#: 2-worker inline cluster: every counter and every response outcome
+CLUSTER_GOLDEN_SNAPSHOT = {
+    "obs.cluster.admitted": 13.0,
+    "obs.cluster.batch_size.count": 9.0,
+    "obs.cluster.batch_size.le_pow2_0": 7.0,
+    "obs.cluster.batch_size.le_pow2_1": 1.0,
+    "obs.cluster.batch_size.le_pow2_2": 1.0,
+    "obs.cluster.batch_size.max": 4.0,
+    "obs.cluster.batch_size.mean": 1.4444444444444444,
+    "obs.cluster.batch_size.min": 1.0,
+    "obs.cluster.batch_size.sum": 13.0,
+    "obs.cluster.by_lineage.bfs(source=1).dispatched": 1.0,
+    "obs.cluster.by_lineage.bfs(source=1).routed": 1.0,
+    "obs.cluster.by_lineage.pagerank().dispatched": 3.0,
+    "obs.cluster.by_lineage.pagerank().routed": 1.0,
+    "obs.cluster.by_lineage.sssp(source=0).dispatched": 3.0,
+    "obs.cluster.by_lineage.sssp(source=0).routed": 1.0,
+    "obs.cluster.by_lineage.wcc().dispatched": 2.0,
+    "obs.cluster.by_lineage.wcc().routed": 1.0,
+    "obs.cluster.compactions": 0.0,
+    "obs.cluster.dispatched": 9.0,
+    "obs.cluster.latency_cycles.count": 12.0,
+    "obs.cluster.latency_cycles.le_pow2_15": 4.0,
+    "obs.cluster.latency_cycles.le_pow2_16": 1.0,
+    "obs.cluster.latency_cycles.le_pow2_19": 1.0,
+    "obs.cluster.latency_cycles.le_pow2_20": 6.0,
+    "obs.cluster.latency_cycles.max": 616856.5,
+    "obs.cluster.latency_cycles.mean": 351761.5208333333,
+    "obs.cluster.latency_cycles.min": 19995.0,
+    "obs.cluster.latency_cycles.sum": 4221138.25,
+    "obs.cluster.latency_p50_cycles": 466265.25,
+    "obs.cluster.latency_p95_cycles": 616856.5,
+    "obs.cluster.makespan_cycles": 624856.5,
+    "obs.cluster.queue_depth.count": 13.0,
+    "obs.cluster.queue_depth.le_pow2_0": 5.0,
+    "obs.cluster.queue_depth.le_pow2_1": 5.0,
+    "obs.cluster.queue_depth.le_pow2_2": 3.0,
+    "obs.cluster.queue_depth.max": 4.0,
+    "obs.cluster.queue_depth.mean": 1.9230769230769231,
+    "obs.cluster.queue_depth.min": 1.0,
+    "obs.cluster.queue_depth.sum": 25.0,
+    "obs.cluster.queue_pending": 0.0,
+    "obs.cluster.requeued": 0.0,
+    "obs.cluster.routed": 4.0,
+    "obs.cluster.shed_deadline": 1.0,
+    "obs.cluster.shed_queue": 2.0,
+    "obs.cluster.submitted": 15.0,
+    "obs.cluster.updates_applied": 1.0,
+    "obs.cluster.version": 1.0,
+    "obs.cluster.worker_restarts": 0.0,
+    "obs.cluster.workers": 2.0,
+    "obs.serve.admitted": 0.0,
+    "obs.serve.baseline_inherited": 0.0,
+    "obs.serve.cache_hit_rate": 0.25,
+    "obs.serve.cache_hits": 2.0,
+    "obs.serve.cache_misses": 6.0,
+    "obs.serve.cold_runs": 5.0,
+    "obs.serve.cold_updates": 11870.0,
+    "obs.serve.edges_added": 0.0,
+    "obs.serve.edges_removed": 0.0,
+    "obs.serve.edges_reweighted": 0.0,
+    "obs.serve.engine_runs": 6.0,
+    "obs.serve.run_cycles.count": 6.0,
+    "obs.serve.run_cycles.le_pow2_15": 3.0,
+    "obs.serve.run_cycles.le_pow2_16": 1.0,
+    "obs.serve.run_cycles.le_pow2_17": 1.0,
+    "obs.serve.run_cycles.le_pow2_19": 1.0,
+    "obs.serve.run_cycles.max": 466265.25,
+    "obs.serve.run_cycles.mean": 116141.91666666667,
+    "obs.serve.run_cycles.min": 18882.25,
+    "obs.serve.run_cycles.sum": 696851.5,
+    "obs.serve.shed_deadline": 0.0,
+    "obs.serve.shed_queue": 0.0,
+    "obs.serve.submitted": 0.0,
+    "obs.serve.updates_applied": 0.0,
+    "obs.serve.vertices_added": 0.0,
+    "obs.serve.warm_fallbacks": 1.0,
+    "obs.serve.warm_runs": 1.0,
+    "obs.serve.warm_seeded.count": 1.0,
+    "obs.serve.warm_seeded.le_pow2_6": 1.0,
+    "obs.serve.warm_seeded.max": 44.0,
+    "obs.serve.warm_seeded.mean": 44.0,
+    "obs.serve.warm_seeded.min": 44.0,
+    "obs.serve.warm_seeded.sum": 44.0,
+    "obs.serve.warm_updates": 1895.0
+}
+
+CLUSTER_GOLDEN_RESPONSES = [
+    (0, "ok", "pagerank()@v0", False, False, 466265.25, 466265.25),
+    (1, "ok", "sssp(source=0)@v0", False, False, 28901.0, 28901.0),
+    (2, "ok", "sssp(source=0)@v0", False, False, 28901.0, 28901.0),
+    (3, "ok", "sssp(source=0)@v0", True, False, 28901.0, 30901.0),
+    (4, "shed-deadline", "wcc()@v0", False, False, 464265.25, 466265.25),
+    (5, "ok", "pagerank()@v1", False, True, 558779.75, 562779.75),
+    (6, "ok", "sssp(source=0)@v1", False, False, 54112.75, 58112.75),
+    (11, "shed-queue", None, False, False, 0.0, 6000.0),
+    (12, "shed-queue", None, False, False, 0.0, 6000.0),
+    (7, "ok", "wcc()@v1", False, False, 616856.5, 622856.5),
+    (8, "ok", "wcc()@v1", False, False, 616856.5, 622856.5),
+    (9, "ok", "wcc()@v1", False, False, 616856.5, 622856.5),
+    (10, "ok", "wcc()@v1", False, False, 616856.5, 622856.5),
+    (13, "ok", "bfs(source=1)@v1", False, False, 19995.0, 76995.0),
+    (14, "ok", "pagerank()@v1", True, True, 567856.5, 624856.5)
+]
+
+
+class TestClusterGolden:
+    def test_script_reproduces_pinned_snapshot_and_responses(self, tmp_path):
+        with ClusterService(
+            golden_graph(),
+            golden_config(),
+            workers=2,
+            transport="inline",
+            spool_dir=str(tmp_path / "spool"),
+        ) as service:
+            assert run_script(service) == CLUSTER_GOLDEN_SNAPSHOT
+            assert response_rows(service) == CLUSTER_GOLDEN_RESPONSES
 
 
 class TestServeConfigBuilder:

@@ -36,6 +36,12 @@ from repro.serve.warmstart import (
     FALLBACK_UNSUPPORTED,
     FALLBACK_UNTRANSFORMABLE,
 )
+from tests.goldens.serving_script import (
+    golden_config,
+    golden_graph,
+    response_rows,
+    run_script,
+)
 
 #: warm-vs-cold agreement bound for sum-type accumulators: 2x the
 #: cross-schedule spread, because warm and cold runs truncate their
@@ -432,6 +438,101 @@ class TestGraphService:
         snapshot = make_service().metrics_snapshot()
         for name in ("cache_hits", "warm_runs", "shed_queue", "engine_runs"):
             assert snapshot[f"obs.serve.{name}"] == 0.0
+
+
+#: the fixed serving script (tests/goldens/serving_script.py) on a
+#: GraphService: every counter and every response outcome, pinned
+SERVICE_GOLDEN_SNAPSHOT = {
+    "obs.serve.admitted": 13.0,
+    "obs.serve.baseline_inherited": 0.0,
+    "obs.serve.batch_size.count": 9.0,
+    "obs.serve.batch_size.le_pow2_0": 7.0,
+    "obs.serve.batch_size.le_pow2_1": 1.0,
+    "obs.serve.batch_size.le_pow2_2": 1.0,
+    "obs.serve.batch_size.max": 4.0,
+    "obs.serve.batch_size.mean": 1.4444444444444444,
+    "obs.serve.batch_size.min": 1.0,
+    "obs.serve.batch_size.sum": 13.0,
+    "obs.serve.cache_hit_rate": 0.25,
+    "obs.serve.cache_hits": 2.0,
+    "obs.serve.cache_misses": 6.0,
+    "obs.serve.cold_runs": 5.0,
+    "obs.serve.cold_updates": 11870.0,
+    "obs.serve.edges_added": 1.0,
+    "obs.serve.edges_removed": 1.0,
+    "obs.serve.edges_reweighted": 0.0,
+    "obs.serve.engine_runs": 6.0,
+    "obs.serve.latency_cycles.count": 12.0,
+    "obs.serve.latency_cycles.le_pow2_11": 1.0,
+    "obs.serve.latency_cycles.le_pow2_15": 2.0,
+    "obs.serve.latency_cycles.le_pow2_16": 4.0,
+    "obs.serve.latency_cycles.le_pow2_17": 2.0,
+    "obs.serve.latency_cycles.le_pow2_19": 3.0,
+    "obs.serve.latency_cycles.max": 494166.25,
+    "obs.serve.latency_cycles.mean": 163075.83333333334,
+    "obs.serve.latency_cycles.min": 2000.0,
+    "obs.serve.latency_cycles.sum": 1956910.0,
+    "obs.serve.latency_p50_cycles": 60076.75,
+    "obs.serve.latency_p95_cycles": 494166.25,
+    "obs.serve.queue_depth.count": 13.0,
+    "obs.serve.queue_depth.le_pow2_0": 5.0,
+    "obs.serve.queue_depth.le_pow2_1": 5.0,
+    "obs.serve.queue_depth.le_pow2_2": 3.0,
+    "obs.serve.queue_depth.max": 4.0,
+    "obs.serve.queue_depth.mean": 1.9230769230769231,
+    "obs.serve.queue_depth.min": 1.0,
+    "obs.serve.queue_depth.sum": 25.0,
+    "obs.serve.queue_pending": 0.0,
+    "obs.serve.run_cycles.count": 6.0,
+    "obs.serve.run_cycles.le_pow2_15": 3.0,
+    "obs.serve.run_cycles.le_pow2_16": 1.0,
+    "obs.serve.run_cycles.le_pow2_17": 1.0,
+    "obs.serve.run_cycles.le_pow2_19": 1.0,
+    "obs.serve.run_cycles.max": 466265.25,
+    "obs.serve.run_cycles.mean": 116141.91666666667,
+    "obs.serve.run_cycles.min": 18882.25,
+    "obs.serve.run_cycles.sum": 696851.5,
+    "obs.serve.shed_deadline": 1.0,
+    "obs.serve.shed_queue": 2.0,
+    "obs.serve.submitted": 15.0,
+    "obs.serve.updates_applied": 1.0,
+    "obs.serve.version": 1.0,
+    "obs.serve.vertices_added": 0.0,
+    "obs.serve.warm_fallbacks": 1.0,
+    "obs.serve.warm_runs": 1.0,
+    "obs.serve.warm_seeded.count": 1.0,
+    "obs.serve.warm_seeded.le_pow2_6": 1.0,
+    "obs.serve.warm_seeded.max": 44.0,
+    "obs.serve.warm_seeded.mean": 44.0,
+    "obs.serve.warm_seeded.min": 44.0,
+    "obs.serve.warm_seeded.sum": 44.0,
+    "obs.serve.warm_updates": 1895.0
+}
+
+SERVICE_GOLDEN_RESPONSES = [
+    (0, "ok", "pagerank()@v0", False, False, 466265.25, 466265.25),
+    (1, "ok", "sssp(source=0)@v0", False, False, 494166.25, 494166.25),
+    (2, "ok", "sssp(source=0)@v0", False, False, 494166.25, 494166.25),
+    (3, "ok", "sssp(source=0)@v0", True, False, 2000.0, 496166.25),
+    (4, "shed-deadline", "wcc()@v0", False, False, 2000.0, 496166.25),
+    (5, "ok", "pagerank()@v1", False, True, 96514.5, 592680.75),
+    (6, "ok", "sssp(source=0)@v1", False, False, 123726.25, 619892.5),
+    (11, "shed-queue", None, False, False, 0.0, 619892.5),
+    (12, "shed-queue", None, False, False, 0.0, 619892.5),
+    (7, "ok", "wcc()@v1", False, False, 60076.75, 679969.25),
+    (8, "ok", "wcc()@v1", False, False, 60076.75, 679969.25),
+    (9, "ok", "wcc()@v1", False, False, 60076.75, 679969.25),
+    (10, "ok", "wcc()@v1", False, False, 60076.75, 679969.25),
+    (13, "ok", "bfs(source=1)@v1", False, False, 18882.25, 748851.5),
+    (14, "ok", "pagerank()@v1", True, True, 20882.25, 750851.5)
+]
+
+
+class TestServingGolden:
+    def test_script_reproduces_pinned_snapshot_and_responses(self):
+        service = GraphService(golden_graph(), golden_config())
+        assert run_script(service) == SERVICE_GOLDEN_SNAPSHOT
+        assert response_rows(service) == SERVICE_GOLDEN_RESPONSES
 
 
 class TestAutoStealPolicy:
