@@ -17,6 +17,11 @@ regressed beyond the documented slack:
   either someone made the hot path do more simulated work, or the span
   accounting itself broke.
 
+It also fails when the harness left a broken artifact behind, baselined
+or not: an empty or missing ``results/fig11.txt``, or any recorded run
+whose counters lack ``obs.sched.steals_attempted`` or
+``obs.cache.llc.hit_rate``.
+
 The simulator is deterministic at a pinned config, so in a healthy tree
 every counter matches its baseline exactly; the slack only absorbs
 *intentional* small shifts (e.g. a new tie-break in the scheduler) so
@@ -74,6 +79,19 @@ def _span_shares(counters: dict, cores: float) -> dict:
     }
 
 
+def _artifact_failures(runs: dict, table: Path) -> list:
+    """What every fig11 smoke run must leave behind, baselined or not."""
+    failures = []
+    if not table.is_file() or table.stat().st_size == 0:
+        failures.append(f"{table} is missing or empty")
+    for label, run in sorted(runs.items()):
+        counters = run.get("counters") or {}
+        absent = [name for name in (STEALS, LLC) if name not in counters]
+        if absent:
+            failures.append(f"{label}: counters lack {', '.join(absent)}")
+    return failures
+
+
 def _load_runs(path: Path) -> dict:
     payload = json.loads(path.read_text(encoding="utf-8"))
     return payload["runs"], {
@@ -112,18 +130,19 @@ def _update(runs: dict, config: dict) -> int:
     return 0
 
 
-def _check(runs: dict, config: dict) -> int:
+def _check(runs: dict, config: dict, table: Path) -> int:
     baselines = json.loads(BASELINES.read_text(encoding="utf-8"))
+    failures = _artifact_failures(runs, table)
     if baselines.get("config") != config:
-        failure = (
+        failures.append(
             f"metrics config {config} does not match baseline config "
             f"{baselines.get('config')}; run the smoke config documented in "
             "baselines.json['regenerate']"
         )
-        print(f"FAIL: {failure}")
-        write_step_summary("perf gate (fig11 counters)", [failure])
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        write_step_summary("perf gate (fig11 counters)", failures)
         return 1
-    failures = []
     missing = []
     for label, base in baselines["runs"].items():
         run = runs.get(label)
@@ -193,7 +212,8 @@ def main(argv=None) -> int:
         "--metrics",
         type=Path,
         default=METRICS,
-        help=f"metrics.json to gate on (default: {METRICS})",
+        help=f"metrics.json to gate on (default: {METRICS}); its table "
+        "is the .txt beside it",
     )
     args = parser.parse_args(argv)
     runs, config = _load_runs(args.metrics)
@@ -202,7 +222,10 @@ def main(argv=None) -> int:
         return 1
     if args.update:
         return _update(runs, config)
-    return _check(runs, config)
+    table = args.metrics.with_name(
+        args.metrics.name.replace(".metrics.json", ".txt")
+    )
+    return _check(runs, config, table)
 
 
 if __name__ == "__main__":

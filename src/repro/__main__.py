@@ -5,7 +5,7 @@ Examples::
     python -m repro run --system depgraph-h --dataset LJ --algorithm sssp
     python -m repro compare --dataset FS --algorithm pagerank --scale 0.4
     python -m repro trace pagerank GL --scale 0.1 --cores 8 --sink file
-    python -m repro serve-bench --dataset PK --scale 0.1 --slots 30
+    python -m repro traffic --levels 1,4,16
     python -m repro experiment fig11
     python -m repro list
 """
@@ -156,46 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("ring", "file"),
         help="event storage: bounded in-memory ring (default) or a "
         "streaming JSONL file that never drops the start of a run",
-    )
-
-    serve_p = sub.add_parser(
-        "serve-bench",
-        help="benchmark the serving subsystem: versioned updates, "
-        "batching, caching, warm-start; writes a table + metrics.json",
-    )
-    serve_p.add_argument(
-        "--dataset", default="PK", choices=datasets.DATASET_NAMES
-    )
-    serve_p.add_argument("--scale", type=float, default=0.1)
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument(
-        "--slots", type=_positive_int, default=30,
-        help="workload length, in scheduler slots",
-    )
-    serve_p.add_argument(
-        "--system", default="depgraph-h", choices=runtime.SYSTEM_NAMES
-    )
-    serve_p.add_argument("--cores", type=int, default=8)
-    serve_p.add_argument(
-        "--reorder", default="identity", choices=runtime.ORDERING_NAMES
-    )
-    serve_p.add_argument(
-        "--backend", default="scalar", choices=runtime.BACKEND_NAMES
-    )
-    serve_p.add_argument(
-        "--algorithms",
-        default="pagerank,sssp,wcc",
-        help="comma-separated query mix",
-    )
-    serve_p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the shadow cold-control verification runs",
-    )
-    serve_p.add_argument(
-        "--out",
-        default="results",
-        help="output directory (default: results)",
     )
 
     traffic_p = sub.add_parser(
@@ -511,36 +471,6 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_serve_bench(args) -> int:
-    """The ``serve-bench`` subcommand: exercise ``repro.serve``."""
-    from .serve.bench import BenchConfig, run_bench, write_artifacts
-
-    config = BenchConfig(
-        dataset=args.dataset,
-        scale=args.scale,
-        seed=args.seed,
-        slots=args.slots,
-        system=args.system,
-        cores=args.cores,
-        reorder=args.reorder,
-        backend=args.backend,
-        algorithms=tuple(
-            name.strip() for name in args.algorithms.split(",") if name.strip()
-        ),
-        verify_cold=not args.no_verify,
-        out_dir=args.out,
-    )
-    table, service, verification = run_bench(config)
-    table.print()
-    table_path, metrics_path = write_artifacts(table, service, config)
-    print(f"\ntable:   {table_path}")
-    print(f"metrics: {metrics_path}")
-    if verification.warm_runs and not verification.states_match:
-        print("WARNING: warm/cold state mismatch detected")
-        return 1
-    return 0
-
-
 def _run_traffic(args) -> int:
     """The ``traffic`` subcommand: the load sweep (``repro.serve.traffic``)."""
     from .serve.traffic import TrafficConfig, run_sweep, write_artifacts
@@ -713,8 +643,6 @@ def main(argv=None) -> int:
         return 0
     if args.command == "trace":
         return _run_trace(args)
-    if args.command == "serve-bench":
-        return _run_serve_bench(args)
     if args.command == "traffic":
         return _run_traffic(args)
     if args.command == "stream":

@@ -222,7 +222,8 @@ class RRIPCache(Cache):
 
 class GRASPCache(RRIPCache):
     """DRRIP plus hot-region hints: hot lines insert at RRPV 0 and never age
-    past ``RRPV_MAX - 1``, so cold lines are evicted first."""
+    past ``RRPV_MAX - 1``, so cold lines are evicted first.  A full set of
+    hot lines evicts its oldest line at the highest RRPV."""
 
     __slots__ = ()
 
@@ -236,6 +237,12 @@ class GRASPCache(RRIPCache):
     def _evict(self, cset: dict) -> None:
         # Ageing caps hot lines, so the shortcut of RRIPCache does not hold.
         is_hot = self._is_hot
+        if all(map(is_hot, cset)):
+            # no line can age to RRPV_MAX: evict the oldest line at the
+            # highest RRPV (sets keep insertion order)
+            top = max(cset.values())
+            del cset[next(line for line, rrpv in cset.items() if rrpv == top)]
+            return
         while True:
             for victim, rrpv in cset.items():
                 if rrpv >= RRPV_MAX:

@@ -12,11 +12,11 @@ one cold batch run per CLI invocation:
   dependency-affected vertices reconverge.
 * :class:`Batcher` / :class:`ResultCache` — single-flight coalescing of
   identical queries plus a version-keyed LRU over completed runs.
-* :class:`GraphService` — admission control (bounded queue, deterministic
-  reject-new shed, per-request deadlines in simulated cycles), metrics
-  under ``obs.serve.*``.
-* ``python -m repro serve-bench`` — the seeded replay harness
-  (:mod:`repro.serve.bench`).
+* :class:`GraphService` — the single-server service: the shared
+  admission front (bounded queue, deterministic reject-new shed,
+  per-request deadlines in simulated cycles) over one inline
+  :class:`WorkerCore` (cache lookup, engine run, ``obs.serve.*``
+  counters), both in :mod:`repro.serve.service`.
 * ``python -m repro traffic`` — the open/closed-loop traffic generator
   and latency-SLO sweep (:mod:`repro.serve.traffic`), reported under
   ``obs.traffic.*`` and gated in CI by ``benchmarks/check_slo.py``.
@@ -59,6 +59,7 @@ from .service import (
     ServeConfig,
     ServeRequest,
     ServeResponse,
+    WorkerCore,
 )
 from .store import GraphDelta, GraphStore, GraphVersion
 from .stream import (
@@ -106,6 +107,7 @@ __all__ = [
     "TrafficRun",
     "WarmStartAlgorithm",
     "WarmStartPlan",
+    "WorkerCore",
     "WorkerDied",
     "ZipfChooser",
     "build_serve_config",

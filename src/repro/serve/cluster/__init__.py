@@ -11,14 +11,14 @@ Layers, bottom-up:
 
 * :mod:`~repro.serve.cluster.routing` — rendezvous-hash lineage ->
   worker assignment (deterministic, minimal-disruption, restart-stable);
-* :mod:`~repro.serve.cluster.worker` — :class:`WorkerCore` (one warm
-  engine + result cache + ``serve.*`` registry per slot) behind an
-  inline transport (deterministic experiments) or a spawned OS process
-  (``multiprocessing``, crash-isolated);
-* :mod:`~repro.serve.cluster.dispatch` — :class:`ClusterService`:
-  bounded admission, cluster-wide batching, per-worker ``busy_until``
-  discrete-event clocks, worker restart + batch requeue on death, and
-  the aggregated ``obs.cluster.*`` metric family;
+* :mod:`~repro.serve.cluster.worker` — one :class:`WorkerCore` per slot
+  (the execution core :class:`~repro.serve.GraphService` also runs)
+  behind an inline transport (deterministic experiments) or a spawned
+  OS process (``multiprocessing``, crash-isolated);
+* :mod:`~repro.serve.cluster.dispatch` — :class:`ClusterService`: the
+  shared admission front (:class:`~repro.serve.service.AdmissionFront`)
+  with per-worker ``busy_until`` discrete-event clocks, worker restart +
+  batch requeue on death, and the aggregated ``obs.cluster.*`` family;
 * :mod:`~repro.serve.cluster.http_api` — the stdlib asyncio HTTP/JSON
   front door behind ``python -m repro serve --port N``.
 
@@ -31,14 +31,9 @@ from .dispatch import (
     ClusterService,
 )
 from .http_api import ClusterHTTPServer, run_server
+from ..service import WorkerCore
 from .routing import RoutingTable
-from .worker import (
-    InlineWorkerClient,
-    ProcessWorkerClient,
-    WorkerConfig,
-    WorkerCore,
-    WorkerDied,
-)
+from .worker import InlineWorkerClient, ProcessWorkerClient, WorkerDied
 
 __all__ = [
     "CLUSTER_COUNTER_FAMILY",
@@ -48,7 +43,6 @@ __all__ = [
     "InlineWorkerClient",
     "ProcessWorkerClient",
     "RoutingTable",
-    "WorkerConfig",
     "WorkerCore",
     "WorkerDied",
     "run_server",

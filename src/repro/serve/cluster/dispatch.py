@@ -2,19 +2,22 @@
 
 :class:`ClusterService` scales the single-process :class:`GraphService`
 model across a pool of workers while keeping its defining property —
-**determinism on the simulated clock**.  It exposes the same driver
-interface (``submit`` / ``dispatch_next`` / ``drain`` /
-``advance_clock`` / ``apply_update`` / ``metrics_snapshot``), so the
-traffic harness and the HTTP front door drive either one unchanged.
+**determinism on the simulated clock**.  Both services share one
+admission front (:class:`~repro.serve.service.AdmissionFront`) and one
+execution core (:class:`~repro.serve.service.WorkerCore`), and expose the
+same driver interface (``submit`` / ``dispatch_next`` / ``drain`` /
+``advance_clock`` / ``apply_update`` / ``compact`` / ``makespan_cycles``
+/ ``metrics_snapshot`` / ``close``), so the traffic and stream harnesses
+drive either one unchanged.  What differs is the clock model.
 
 How the pieces fit:
 
 * **Admission** is the dispatcher's alone: one bounded FIFO
   :class:`Batcher` coalesces identical queries cluster-wide and sheds
-  the *newest* arrival when full (reject-new backpressure), exactly as
-  the single service does.  Deadlines are checked against the request's
-  projected *start* on its worker, so a request that would only begin
-  after its deadline is shed before any engine work is spent.
+  the *newest* arrival when full (reject-new backpressure).  Deadlines
+  are checked against the request's projected *start* on its worker, so
+  a request that would only begin after its deadline is shed before any
+  engine work is spent.
 * **Routing** is rendezvous hashing by query lineage
   (:mod:`repro.serve.cluster.routing`).  Lineage affinity is what makes
   the workers' warmth additive: each worker re-serves the baselines,
@@ -37,12 +40,14 @@ How the pieces fit:
   replacement — no request is silently dropped.  Replacement process
   workers rebuild their replica from a fresh store snapshot and find
   their lineages' baselines in the shared spool, so they come back
-  *warm*.
+  *warm*.  A batch the slot still cannot serve after
+  :data:`_MAX_ATTEMPTS` gets one ``failed`` response per request of that
+  batch; the other batches are unaffected.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass
@@ -50,30 +55,16 @@ from typing import Dict, List, Optional, Tuple
 
 from ...graph.csr import CSRGraph
 from ...observe import MetricRegistry, aggregate_metrics
-from ..batching import Batcher
-from ..engine import (
-    ParamsKey,
-    QueryKey,
-    canonical_params,
-    lineage_label,
-    validate_query,
-)
+from ..engine import ParamsKey, QueryKey, lineage_label
 from ..service import (
-    STATUS_OK,
-    STATUS_SHED_DEADLINE,
-    STATUS_SHED_QUEUE,
+    STATUS_FAILED,
+    AdmissionFront,
     ServeConfig,
-    ServeRequest,
     ServeResponse,
 )
 from ..store import GraphDelta, GraphStore, GraphVersion
 from .routing import RoutingTable
-from .worker import (
-    InlineWorkerClient,
-    ProcessWorkerClient,
-    WorkerConfig,
-    WorkerDied,
-)
+from .worker import InlineWorkerClient, ProcessWorkerClient, WorkerDied
 
 #: modeled dispatcher overhead per dispatched batch, in simulated cycles
 #: (routing + handoff; deliberately tiny against any engine run)
@@ -132,8 +123,11 @@ class _Slot:
     generation: int = 0
 
 
-class ClusterService:
+class ClusterService(AdmissionFront):
     """A sharded, fault-tolerant, deterministic serving cluster."""
+
+    COUNTER_PREFIX = "cluster"
+    submit = AdmissionFront.submit
 
     def __init__(
         self,
@@ -154,15 +148,18 @@ class ClusterService:
             if graph is None:
                 raise ValueError("need a base graph or an existing store")
             store = GraphStore(graph)
-        self.config = config or ServeConfig()
+        config = config or ServeConfig()
         self.store = store
         self.transport = transport
         if spool_dir is None:
             spool_dir = tempfile.mkdtemp(prefix="repro-cluster-")
         self.spool_dir = spool_dir
-        #: the shared cross-worker baseline spool (restart/fork warmth)
-        self.baseline_dir = self.config.baseline_dir or os.path.join(
-            spool_dir, "baselines"
+        #: every worker shares one cross-worker baseline spool
+        #: (restart/fork warmth)
+        self.config = dataclasses.replace(
+            config,
+            baseline_dir=config.baseline_dir
+            or os.path.join(spool_dir, "baselines"),
         )
 
         names = [f"w{i}" for i in range(workers)]
@@ -176,12 +173,7 @@ class ClusterService:
             self.metrics.inc(counter, 0.0)
         self.metrics.set("cluster.workers", float(workers))
         self.metrics.set("cluster.version", float(store.latest_version))
-
-        self.batcher: Batcher[ServeRequest] = Batcher()
-        self.now_cycles = 0.0
-        self._next_request_id = 0
-        self._latencies: List[float] = []
-        self._responses: List[ServeResponse] = []
+        super().__init__()
         #: lineage -> pinned worker slot (first routing decision wins)
         self._routed: Dict[Tuple[str, ParamsKey], str] = {}
 
@@ -191,19 +183,10 @@ class ClusterService:
     def _spawn(self, name: str, generation: int):
         """Build one worker client for slot ``name``."""
         if self.transport == "inline":
-            worker_config = WorkerConfig.from_serve(
-                name, self.config, baseline_dir=self.baseline_dir
-            )
-            return InlineWorkerClient(worker_config, store=self.store)
+            return InlineWorkerClient(self.config, name, self.store)
         store_dir = os.path.join(self.spool_dir, f"store-{name}-g{generation}")
         self.store.save(store_dir)
-        worker_config = WorkerConfig.from_serve(
-            name,
-            self.config,
-            store_dir=store_dir,
-            baseline_dir=self.baseline_dir,
-        )
-        return ProcessWorkerClient(worker_config)
+        return ProcessWorkerClient(self.config, name, store_dir)
 
     def _restart(self, name: str) -> None:
         """Replace a dead worker under the same slot name.
@@ -258,53 +241,6 @@ class ClusterService:
         self.close()
 
     # ------------------------------------------------------------------
-    # Admission (mirrors GraphService.submit).
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        algorithm: str,
-        params: Optional[dict] = None,
-        version: Optional[int] = None,
-        deadline_cycles: Optional[float] = None,
-    ) -> ServeResponse | int:
-        """Admit one query (returns its request id) or shed it."""
-        metrics = self.metrics
-        metrics.inc("cluster.submitted")
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        if len(self.batcher) >= self.config.queue_limit:
-            metrics.inc("cluster.shed_queue")
-            response = ServeResponse(
-                request_id, STATUS_SHED_QUEUE,
-                completed_cycles=self.now_cycles,
-            )
-            self._responses.append(response)
-            return response
-        resolved = self.store.latest_version if version is None else version
-        self.store.get(resolved)  # validate
-        # a bad algorithm/params must bounce here (HTTP 400), not poison
-        # a dispatched batch
-        validate_query(algorithm, params)
-        deadline = (
-            self.config.default_deadline_cycles
-            if deadline_cycles is None
-            else deadline_cycles
-        )
-        request = ServeRequest(
-            request_id=request_id,
-            algorithm=algorithm,
-            params=dict(params or {}),
-            version=resolved,
-            deadline_cycles=deadline,
-            enqueued_at=self.now_cycles,
-        )
-        key = QueryKey(algorithm, canonical_params(request.params), resolved)
-        metrics.inc("cluster.admitted")
-        metrics.observe("cluster.queue_depth", len(self.batcher) + 1)
-        self.batcher.add(key, request)
-        return request_id
-
-    # ------------------------------------------------------------------
     # Updates / compaction (authoritative store + broadcast).
     # ------------------------------------------------------------------
     def apply_update(self, delta: GraphDelta) -> GraphVersion:
@@ -337,16 +273,9 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Dispatch.
     # ------------------------------------------------------------------
-    def drain(self) -> List[ServeResponse]:
-        """Dispatch every pending batch; returns the new responses."""
-        first = len(self._responses)
-        while self.dispatch_next() is not None:
-            pass
-        return self._responses[first:]
-
     def dispatch_next(self) -> Optional[List[ServeResponse]]:
         """Route + execute the oldest pending batch; ``None`` when idle."""
-        batch = self.batcher.next_batch()
+        batch = self._next_batch()
         if batch is None:
             return None
         key, group = batch
@@ -363,51 +292,41 @@ class ClusterService:
             metrics.inc(f"cluster.by_lineage.{label}.routed")
         metrics.inc("cluster.dispatched")
         metrics.inc(f"cluster.by_lineage.{label}.dispatched")
-        metrics.observe("cluster.batch_size", len(group))
 
         start = max(self.now_cycles, self._slots[worker].busy_until)
-        live: List[ServeRequest] = []
-        for request in group:
-            waited = start - request.enqueued_at
-            if waited > request.deadline_cycles:
-                metrics.inc("cluster.shed_deadline")
+        live = self._shed_expired(key, group, start, worker)
+        self.now_cycles += DISPATCH_CYCLES
+        if not live:
+            return self._responses[first:]
+        try:
+            reply = self._execute(worker, key, label)
+        except RuntimeError as exc:  # WorkerDied included
+            for request in live:
                 self._responses.append(
                     ServeResponse(
                         request.request_id,
-                        STATUS_SHED_DEADLINE,
+                        STATUS_FAILED,
                         key=key,
-                        latency_cycles=waited,
+                        latency_cycles=start - request.enqueued_at,
                         completed_cycles=start,
                         worker=worker,
+                        error=str(exc),
                     )
                 )
-            else:
-                live.append(request)
-        self.now_cycles += DISPATCH_CYCLES
-
-        if live:
-            reply = self._execute(worker, key, label)
-            completion = start + reply["cycles"]
-            self._slots[worker].busy_until = completion
-            for request in live:
-                latency = completion - request.enqueued_at
-                self._latencies.append(latency)
-                metrics.observe("cluster.latency_cycles", latency)
-                self._responses.append(
-                    ServeResponse(
-                        request.request_id,
-                        STATUS_OK,
-                        key=key,
-                        cache_hit=reply["cache_hit"],
-                        warm=reply["warm"],
-                        inherited=reply["inherited"],
-                        fallback_reason=reply["fallback_reason"],
-                        latency_cycles=latency,
-                        completed_cycles=completion,
-                        worker=worker,
-                        summary=reply["summary"],
-                    )
-                )
+            return self._responses[first:]
+        completion = start + reply["cycles"]
+        self._slots[worker].busy_until = completion
+        self._answer(
+            key,
+            live,
+            completion,
+            cache_hit=reply["cache_hit"],
+            warm=reply["warm"],
+            inherited=reply["inherited"],
+            fallback_reason=reply["fallback_reason"],
+            worker=worker,
+            summary=reply["summary"],
+        )
         return self._responses[first:]
 
     def _execute(self, worker: str, key: QueryKey, label: str) -> dict:
@@ -425,11 +344,6 @@ class ClusterService:
             f"died {_MAX_ATTEMPTS} times"
         )
 
-    def advance_clock(self, to_cycles: float) -> None:
-        """Advance the dispatcher clock (never backwards)."""
-        if to_cycles > self.now_cycles:
-            self.now_cycles = to_cycles
-
     # ------------------------------------------------------------------
     # Reporting.
     # ------------------------------------------------------------------
@@ -445,17 +359,6 @@ class ClusterService:
     @property
     def cache(self) -> _ClusterCacheView:
         return _ClusterCacheView(self)
-
-    def responses(self) -> List[ServeResponse]:
-        return list(self._responses)
-
-    def latency_quantile(self, q: float) -> float:
-        """Exact nearest-rank quantile of completed-request latency."""
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
 
     def worker_metrics(self) -> Dict[str, Dict[str, float]]:
         """Per-worker ``serve.*`` registry snapshots, by slot name."""
@@ -487,12 +390,9 @@ class ClusterService:
         total = hits + misses
         aggregated["serve.cache_hit_rate"] = hits / total if total else 0.0
 
-        metrics = self.metrics
-        metrics.set("cluster.queue_pending", float(len(self.batcher)))
-        metrics.set("cluster.latency_p50_cycles", self.latency_quantile(0.50))
-        metrics.set("cluster.latency_p95_cycles", self.latency_quantile(0.95))
-        metrics.set("cluster.makespan_cycles", self.makespan_cycles)
+        self._flush_gauges()
+        self.metrics.set("cluster.makespan_cycles", self.makespan_cycles)
 
         out = {f"obs.{key}": value for key, value in aggregated.items()}
-        out.update(metrics.as_dict(prefix="obs."))
+        out.update(self.metrics.as_dict(prefix="obs."))
         return dict(sorted(out.items()))

@@ -19,6 +19,11 @@ Endpoints::
     GET  /readyz   readiness (every worker slot alive; 503 otherwise)
     GET  /metrics  the aggregated obs.* snapshot across all workers
 
+Bad input fails at the edge: a body over :data:`_MAX_BODY` gets a 413
+and the connection is closed (its body is never read), and a body that
+is not a JSON object gets a 400.  A batch the cluster cannot serve gets a
+500 for each request of that batch only.
+
 Concurrency model — the **admission/dispatch loop**: the event loop
 owns the service.  Every query handler performs *admission* (a
 ``submit`` call, which applies the bounded-queue shed-newest policy)
@@ -38,11 +43,21 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
-from ..service import ServeResponse
+from ..service import STATUS_FAILED, ServeResponse
 from ..store import GraphDelta
 from .dispatch import ClusterService
 
 _MAX_BODY = 8 * 1024 * 1024
+
+
+class _RequestError(Exception):
+    """A request rejected while it is read: answered with ``status``;
+    ``close`` drops the connection (its body was left unread)."""
+
+    def __init__(self, status: str, message: str, close: bool = False) -> None:
+        super().__init__(message)
+        self.status = status
+        self.close = close
 
 
 def response_payload(response: ServeResponse) -> dict:
@@ -125,19 +140,11 @@ class ClusterHTTPServer:
         loop = asyncio.get_event_loop()
         while True:
             await self._work.wait()
-            try:
-                responses = await loop.run_in_executor(
-                    self._pool, self.service.dispatch_next
-                )
-            except Exception as exc:  # noqa: BLE001 - surface, don't hang
-                # a batch the service could not serve (e.g. repeated
-                # worker deaths): fail its waiters instead of letting
-                # their requests hang, and keep draining the queue
-                for waiter in list(self._waiters.values()):
-                    if not waiter.done():
-                        waiter.set_exception(RuntimeError(str(exc)))
-                self._waiters.clear()
-                continue
+            # a batch the cluster cannot serve comes back as ``failed``
+            # responses for that batch's requests alone
+            responses = await loop.run_in_executor(
+                self._pool, self.service.dispatch_next
+            )
             if responses is None:
                 self._work.clear()
                 continue
@@ -146,7 +153,7 @@ class ClusterHTTPServer:
                 if waiter is not None and not waiter.done():
                     waiter.set_result(response)
 
-    async def _serve_query(self, body: dict) -> dict:
+    async def _serve_query(self, body: dict) -> ServeResponse:
         loop = asyncio.get_event_loop()
         outcome = await loop.run_in_executor(
             self._pool,
@@ -158,12 +165,11 @@ class ClusterHTTPServer:
             ),
         )
         if isinstance(outcome, ServeResponse):
-            return response_payload(outcome)  # shed at admission
+            return outcome  # shed at admission
         waiter: asyncio.Future = loop.create_future()
         self._waiters[outcome] = waiter
         self._work.set()
-        response = await waiter
-        return response_payload(response)
+        return await waiter
 
     # ------------------------------------------------------------------
     # HTTP plumbing.
@@ -172,19 +178,24 @@ class ClusterHTTPServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, body = request
-                status, payload = await self._route(method, path, body)
+            close = False
+            while not close:
+                try:
+                    request = await self._read_request(reader)
+                except _RequestError as exc:
+                    status, payload = exc.status, {"error": str(exc)}
+                    close = exc.close
+                else:
+                    if request is None:
+                        break
+                    status, payload = await self._route(*request)
                 data = (json.dumps(payload, sort_keys=True) + "\n").encode()
                 writer.write(
                     (
                         f"HTTP/1.1 {status}\r\n"
                         "Content-Type: application/json\r\n"
                         f"Content-Length: {len(data)}\r\n"
-                        "Connection: keep-alive\r\n"
+                        f"Connection: {'close' if close else 'keep-alive'}\r\n"
                         "\r\n"
                     ).encode()
                     + data
@@ -207,7 +218,11 @@ class ClusterHTTPServer:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, dict]]:
-        """Parse one request; ``None`` on a cleanly closed connection."""
+        """Parse one request; ``None`` on a cleanly closed connection.
+
+        Raises :class:`_RequestError` for a body over :data:`_MAX_BODY`
+        (left unread) and for a body that is not a JSON object.
+        """
         request_line = await reader.readline()
         if not request_line:
             return None
@@ -226,15 +241,26 @@ class ClusterHTTPServer:
                     content_length = int(value.strip())
                 except ValueError:
                     content_length = 0
-        body: dict = {}
-        if 0 < content_length <= _MAX_BODY:
-            raw = await reader.readexactly(content_length)
-            try:
-                parsed = json.loads(raw.decode("utf-8"))
-                if isinstance(parsed, dict):
-                    body = parsed
-            except ValueError:
-                body = {}
+        if content_length > _MAX_BODY:
+            raise _RequestError(
+                "413 Payload Too Large",
+                f"body of {content_length} bytes exceeds the "
+                f"{_MAX_BODY}-byte limit",
+                close=True,
+            )
+        if content_length <= 0:
+            return method, path, {}
+        raw = await reader.readexactly(content_length)
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
+            raise _RequestError(
+                "400 Bad Request", "request body is not valid JSON"
+            ) from None
+        if not isinstance(body, dict):
+            raise _RequestError(
+                "400 Bad Request", "request body must be a JSON object"
+            )
         return method, path, body
 
     async def _route(
@@ -268,7 +294,13 @@ class ClusterHTTPServer:
                     return "400 Bad Request", {
                         "error": "missing 'algorithm'"
                     }
-                return "200 OK", await self._serve_query(body)
+                response = await self._serve_query(body)
+                if response.status == STATUS_FAILED:
+                    return "500 Internal Server Error", {
+                        **response_payload(response),
+                        "error": response.error,
+                    }
+                return "200 OK", response_payload(response)
             if method == "POST" and path == "/update":
                 delta = GraphDelta.from_dict(body)
                 version = await loop.run_in_executor(

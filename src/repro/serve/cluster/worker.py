@@ -7,7 +7,8 @@ bounded LRU :class:`ResultCache` — plus its own zero-seeded
 ``serve.*`` :class:`MetricRegistry`, aggregated cluster-wide by the
 dispatcher (see :func:`repro.observe.aggregate_metrics`).
 
-Two transports host the same :class:`WorkerCore`:
+Two transports host the same :class:`~repro.serve.service.WorkerCore`
+(the execution core :class:`~repro.serve.GraphService` runs inline):
 
 * :class:`InlineWorkerClient` runs the core in the dispatcher's own
   process, *sharing* the authoritative :class:`GraphStore` object.
@@ -34,183 +35,15 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Tuple
 
-from ...hardware.config import HardwareConfig
-from ...observe import MetricRegistry
-from ..batching import ResultCache
-from ..config import summarize_states
-from ..engine import EngineRun, QueryEngine, QueryKey, canonical_params
-from ..service import CACHE_HIT_CYCLES, SERVE_COUNTER_FAMILY, ServeConfig
-from ..store import GraphDelta, GraphStore
-from ..warmstart import FALLBACK_NO_BASELINE
+from ..config import ServeConfig
+from ..service import WorkerCore
+from ..store import GraphStore
 
 
 class WorkerDied(RuntimeError):
     """A worker process (or a fault-injected inline worker) is gone."""
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a worker needs to build its core — picklable
-    primitives only, because the spawn transport ships it to the child
-    process as the sole constructor argument."""
-
-    name: str
-    #: persisted-store directory the worker loads its replica from
-    #: (``None`` for inline workers, which share the dispatcher's store)
-    store_dir: Optional[str] = None
-    system: str = "depgraph-h"
-    cores: int = 8
-    warm: bool = True
-    max_rounds: int = 4000
-    steal_policy: str = "auto"
-    reorder: str = "identity"
-    backend: str = "scalar"
-    cache_capacity: int = 128
-    #: shared cross-engine baseline spool (restart/fork warmth)
-    baseline_dir: Optional[str] = None
-    #: sum-type drift re-anchor cadence (see ``ServeConfig``)
-    sum_reanchor_every: int = 6
-    #: open the replica's base snapshot mmap'd (see ``GraphStore.load``)
-    mmap: bool = False
-
-    @classmethod
-    def from_serve(
-        cls,
-        name: str,
-        serve: ServeConfig,
-        store_dir: Optional[str] = None,
-        baseline_dir: Optional[str] = None,
-    ) -> "WorkerConfig":
-        return cls(
-            name=name,
-            store_dir=store_dir,
-            system=serve.system,
-            cores=serve.cores,
-            warm=serve.warm,
-            max_rounds=serve.max_rounds,
-            steal_policy=serve.steal_policy,
-            reorder=serve.reorder,
-            backend=serve.backend,
-            cache_capacity=serve.cache_capacity,
-            baseline_dir=baseline_dir or serve.baseline_dir,
-            sum_reanchor_every=serve.sum_reanchor_every,
-            mmap=serve.mmap_store,
-        )
-
-
-class WorkerCore:
-    """The per-worker serving state, transport-agnostic.
-
-    The core is ``GraphService`` minus admission/batching/clocking —
-    those live in the dispatcher, which owns the cluster-wide simulated
-    clock.  ``execute`` returns a picklable reply dict; ``cycles`` is
-    the simulated cost the dispatcher charges to this worker's
-    ``busy_until`` clock.
-    """
-
-    def __init__(
-        self, config: WorkerConfig, store: Optional[GraphStore] = None
-    ) -> None:
-        self.config = config
-        if store is None:
-            if config.store_dir is None:
-                raise ValueError(
-                    "WorkerCore needs a shared store or a store_dir"
-                )
-            store = GraphStore.load(config.store_dir, mmap=config.mmap)
-        self.store = store
-        self.engine = QueryEngine(
-            store,
-            system=config.system,
-            hardware=HardwareConfig.scaled(num_cores=config.cores),
-            warm=config.warm,
-            max_rounds=config.max_rounds,
-            reorder=config.reorder,
-            baseline_dir=config.baseline_dir,
-            sum_reanchor_every=config.sum_reanchor_every,
-            steal_policy=config.steal_policy,
-            backend=config.backend,
-        )
-        self.cache: ResultCache[EngineRun] = ResultCache(config.cache_capacity)
-        self.metrics = MetricRegistry()
-        for name in SERVE_COUNTER_FAMILY:
-            self.metrics.inc(name, 0.0)
-
-    # ------------------------------------------------------------------
-    def execute(
-        self, algorithm: str, params: Optional[dict], version: int
-    ) -> Dict[str, Any]:
-        """Answer one coalesced batch; the warm/cold/cache accounting
-        mirrors ``GraphService._dispatch`` so single-service and cluster
-        ``serve.*`` counters compare key-for-key."""
-        key = QueryKey(algorithm, canonical_params(params), version)
-        metrics = self.metrics
-        run = self.cache.get(key)
-        cache_hit = run is not None
-        if cache_hit:
-            metrics.inc("serve.cache_hits")
-            cycles = CACHE_HIT_CYCLES
-        else:
-            metrics.inc("serve.cache_misses")
-            run = self.engine.execute(algorithm, dict(params or {}), version)
-            self.cache.put(key, run)
-            cycles = run.cycles
-            metrics.inc("serve.engine_runs")
-            metrics.observe("serve.run_cycles", run.cycles)
-            if run.warm:
-                metrics.inc("serve.warm_runs")
-                metrics.inc("serve.warm_updates", run.updates)
-                metrics.observe("serve.warm_seeded", run.seeded)
-                if run.inherited:
-                    metrics.inc("serve.baseline_inherited")
-            else:
-                metrics.inc("serve.cold_runs")
-                metrics.inc("serve.cold_updates", run.updates)
-                if (
-                    run.fallback_reason
-                    and run.fallback_reason != FALLBACK_NO_BASELINE
-                ):
-                    metrics.inc("serve.warm_fallbacks")
-        return {
-            "cycles": float(cycles),
-            "cache_hit": cache_hit,
-            "warm": run.warm,
-            "inherited": run.inherited,
-            "fallback_reason": run.fallback_reason,
-            "updates": int(run.updates),
-            "seeded": int(run.seeded),
-            "summary": summarize_states(run.result.states),
-        }
-
-    def apply_delta(self, delta: GraphDelta) -> int:
-        """Apply one broadcast delta to the replica store; returns the
-        new version id (the dispatcher asserts it matches its own)."""
-        version = self.store.apply(delta)
-        self.metrics.set("serve.version", version.version)
-        return version.version
-
-    def compact(self, keep_last: int) -> int:
-        return self.store.compact(keep_last)
-
-    def metrics_snapshot(self) -> Dict[str, float]:
-        return self.metrics.as_dict()
-
-    # ------------------------------------------------------------------
-    def handle(self, command: Tuple) -> Any:
-        """Execute one transport command tuple."""
-        op = command[0]
-        if op == "execute":
-            return self.execute(command[1], command[2], command[3])
-        if op == "update":
-            return self.apply_delta(GraphDelta.from_dict(command[1]))
-        if op == "compact":
-            return self.compact(command[1])
-        if op == "metrics":
-            return self.metrics_snapshot()
-        raise ValueError(f"unknown worker command {op!r}")
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +60,8 @@ class InlineWorkerClient:
 
     shares_store = True
 
-    def __init__(self, config: WorkerConfig, store: GraphStore) -> None:
-        self.name = config.name
-        self.config = config
+    def __init__(self, config: ServeConfig, name: str, store: GraphStore) -> None:
+        self.name = name
         self._core = WorkerCore(config, store=store)
         self._dead = False
 
@@ -249,7 +81,7 @@ class InlineWorkerClient:
         self._dead = True
 
 
-def _worker_main(config: WorkerConfig, commands, replies) -> None:
+def _worker_main(config: ServeConfig, store_dir: str, commands, replies) -> None:
     """Spawned-process entry point: build the core, answer commands.
 
     Top-level (not a closure/lambda) so the spawn context can pickle it;
@@ -257,8 +89,8 @@ def _worker_main(config: WorkerConfig, commands, replies) -> None:
     worker-side exception surfaces at the dispatcher instead of hanging
     the reply queue.
     """
-    core = WorkerCore(config)
-    replies.put(("ready", config.name))
+    core = WorkerCore(config, store_dir=store_dir)
+    replies.put(("ready", None))
     while True:
         command = commands.get()
         if command[0] == "stop":
@@ -278,18 +110,15 @@ class ProcessWorkerClient:
     SPAWN_TIMEOUT = 120.0
     CALL_TIMEOUT = 600.0
 
-    def __init__(self, config: WorkerConfig) -> None:
-        if config.store_dir is None:
-            raise ValueError("process workers need a persisted store_dir")
-        self.name = config.name
-        self.config = config
+    def __init__(self, config: ServeConfig, name: str, store_dir: str) -> None:
+        self.name = name
         context = multiprocessing.get_context("spawn")
         self._commands = context.Queue()
         self._replies = context.Queue()
         self._process = context.Process(
             target=_worker_main,
-            args=(config, self._commands, self._replies),
-            name=f"repro-worker-{config.name}",
+            args=(config, store_dir, self._commands, self._replies),
+            name=f"repro-worker-{name}",
             daemon=True,
         )
         self._process.start()

@@ -1,24 +1,71 @@
-"""Shared serving-configuration plumbing.
+"""Shared serving configuration.
 
-``serve-bench`` (:mod:`repro.serve.bench`), the traffic harness
-(:mod:`repro.serve.traffic`), and the cluster dispatcher
-(:mod:`repro.serve.cluster`) all own a frozen config dataclass carrying
-the same serving knobs — system, cores, queue limit, cache capacity,
-deadline, reorder, backend, steal policy.  Before this module each of
-them re-implemented the ``ServeConfig`` construction (and the warm-vs-
-cold state comparison) by hand; :func:`build_serve_config` and
-:func:`compare_states` are the single copies they now share.
+:class:`ServeConfig` holds every serving knob — system, cores, queue
+limit, cache capacity, deadline, reorder, backend, steal policy, the
+baseline spool.  The single-process :class:`~repro.serve.GraphService`,
+the cluster dispatcher and every cluster worker take it as is (a worker
+adds only its slot name and store directory).  The traffic and stream
+harnesses build it from their own configs with
+:func:`build_serve_config`; :func:`compare_states` and
+:func:`summarize_states` are the one copy of the warm-vs-cold state
+comparison and of the HTTP state digest.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..algorithms import make as make_algorithm
 from ..algorithms.detect import AccumKind, detect_accum_kind
-from .service import ServeConfig
+from ..hardware.config import HardwareConfig
+
+
+@dataclass(frozen=True)
+class ServeConfig:
+    """Operating knobs for one serving service and its workers."""
+
+    system: str = "depgraph-h"
+    cores: int = 8
+    #: admission bound: pending requests beyond this are shed
+    queue_limit: int = 64
+    #: LRU result-cache capacity, in completed runs
+    cache_capacity: int = 128
+    #: default per-request deadline, in simulated cycles from admission
+    default_deadline_cycles: float = math.inf
+    #: enable warm-start incremental recomputation
+    warm: bool = True
+    max_rounds: int = 4000
+    steal_policy: str = "auto"
+    #: vertex ordering for every engine run (see :mod:`repro.graph.reorder`);
+    #: the engine resolves it once per snapshot version and reuses it
+    reorder: str = "identity"
+    #: execution backend for every engine run (``scalar`` or ``vector``,
+    #: see :mod:`repro.runtime.vector`); answers must agree across
+    #: backends under the usual accumulator-kind tolerance rules
+    backend: str = "scalar"
+    #: cross-engine baseline spool: converged baselines are checkpointed
+    #: here and inherited by engines that never ran the lineage (forked
+    #: services, restarted cluster workers) — see ``serve.engine``
+    baseline_dir: Optional[str] = None
+    #: re-anchor a sum-type lineage cold after this many consecutive warm
+    #: runs: warm sum-type runs are epsilon-fixpoints seeded from the
+    #: previous warm result, so residual error compounds along an
+    #: unbroken warm chain; the periodic cold run bounds the drift well
+    #: inside ``SUM_STATE_TOLERANCE`` (0 disables)
+    sum_reanchor_every: int = 6
+    #: process workers open their replica's base snapshot with
+    #: ``mmap_mode="r"`` instead of materialising it in RAM — pages
+    #: fault in on first touch, so many workers on one host share the
+    #: page cache for a large base graph (see ``GraphStore.load``)
+    mmap_store: bool = False
+
+    def hardware(self) -> HardwareConfig:
+        return HardwareConfig.scaled(num_cores=self.cores)
+
 
 #: warm-vs-cold agreement bound for sum-type accumulators: 2x the
 #: established cross-schedule spread (TestSchedulingEquivalence's 1e-3).

@@ -1,35 +1,42 @@
-"""The graph service: admission control, batching, caching, warm engine.
+"""The serving core: one admission front, one execution core.
 
-:class:`GraphService` is the front door that ties the serving subsystem
-together.  A request travels::
+A request travels::
 
-    submit() -> admission (bounded queue, shed when full)
-             -> Batcher (coalesce identical queries)
-    drain()  -> deadline check (shed expired requests)
-             -> ResultCache (hit: answered with zero engine runs)
-             -> QueryEngine (warm-start when sound, cold otherwise)
+    submit()   -> admission (bounded queue, shed when full)
+               -> Batcher (coalesce identical queries)
+    dispatch   -> deadline check (shed expired requests)
+               -> WorkerCore: ResultCache (hit: answered with zero engine
+                  runs), else QueryEngine (warm-start when sound, cold
+                  otherwise), then the ``serve.*`` run counters
 
-Time comes in two currencies.  *Simulated cycles* are authoritative: the
-service clock advances by each engine run's simulated makespan (cache
-hits cost a small constant), queue latencies and deadlines are accounted
-in cycles, and everything cycle-denominated is deterministic — repeat
-runs of the same workload produce bit-identical ``obs.serve.*``
-counters.  *Wall time* is measured alongside for operator reporting only
-and is deliberately kept out of the metric registry so determinism
-survives.
+:class:`AdmissionFront` is the one copy of admission: ``submit``,
+``drain``, ``advance_clock``, deadline shedding and latency accounting.
+:class:`WorkerCore` is the one copy of execution.  Two services combine
+them under two clock models:
+
+* :class:`GraphService` — a single server.  It owns one inline
+  :class:`WorkerCore` on its own store, and its clock advances by each
+  batch's cost (``now += cycles``).
+* :class:`~repro.serve.cluster.ClusterService` — a dispatcher in front of
+  N worker slots, each a :class:`WorkerCore` behind a transport.  Each
+  worker has its own ``busy_until`` clock while the dispatcher runs ahead
+  (see :mod:`repro.serve.cluster.dispatch`).
+
+*Simulated cycles* are the only clock: engine runs and cache hits cost
+cycles, queue latencies and deadlines are accounted in cycles, and repeat
+runs of the same workload produce bit-identical ``obs.*`` counters.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..graph.csr import CSRGraph
-from ..hardware.config import HardwareConfig
 from ..observe import MetricRegistry
 from .batching import Batcher, ResultCache
+from .config import ServeConfig, summarize_states
 from .engine import (
     EngineRun,
     QueryEngine,
@@ -48,8 +55,10 @@ CACHE_HIT_CYCLES = 2_000.0
 STATUS_OK = "ok"
 STATUS_SHED_QUEUE = "shed-queue"
 STATUS_SHED_DEADLINE = "shed-deadline"
+#: cluster only: the batch's worker slot could not serve it
+STATUS_FAILED = "failed"
 
-#: the ``serve.*`` counters every dispatch surface pre-creates, so every
+#: the ``serve.*`` counters every execution core pre-creates, so every
 #: service (and every cluster worker) reports the same key set and
 #: counter diffs line up key-for-key (the ``SchedCounters.flush_policy``
 #: discipline)
@@ -73,49 +82,6 @@ SERVE_COUNTER_FAMILY = (
     "serve.edges_reweighted",
     "serve.vertices_added",
 )
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Operating knobs for one :class:`GraphService`."""
-
-    system: str = "depgraph-h"
-    cores: int = 8
-    #: admission bound: pending requests beyond this are shed
-    queue_limit: int = 64
-    #: LRU result-cache capacity, in completed runs
-    cache_capacity: int = 128
-    #: default per-request deadline, in simulated cycles from admission
-    default_deadline_cycles: float = math.inf
-    #: enable warm-start incremental recomputation
-    warm: bool = True
-    max_rounds: int = 4000
-    steal_policy: str = "auto"
-    #: vertex ordering for every engine run (see :mod:`repro.graph.reorder`);
-    #: the engine resolves it once per snapshot version and reuses it
-    reorder: str = "identity"
-    #: execution backend for every engine run (``scalar`` or ``vector``,
-    #: see :mod:`repro.runtime.vector`); answers must agree across
-    #: backends under the usual accumulator-kind tolerance rules
-    backend: str = "scalar"
-    #: cross-engine baseline spool: converged baselines are checkpointed
-    #: here and inherited by engines that never ran the lineage (forked
-    #: services, restarted cluster workers) — see ``serve.engine``
-    baseline_dir: Optional[str] = None
-    #: re-anchor a sum-type lineage cold after this many consecutive warm
-    #: runs: warm sum-type runs are epsilon-fixpoints seeded from the
-    #: previous warm result, so residual error compounds along an
-    #: unbroken warm chain; the periodic cold run bounds the drift well
-    #: inside ``SUM_STATE_TOLERANCE`` (0 disables)
-    sum_reanchor_every: int = 6
-    #: process workers open their replica's base snapshot with
-    #: ``mmap_mode="r"`` instead of materialising it in RAM — pages
-    #: fault in on first touch, so many workers on one host share the
-    #: page cache for a large base graph (see ``GraphStore.load``)
-    mmap_store: bool = False
-
-    def hardware(self) -> HardwareConfig:
-        return HardwareConfig.scaled(num_cores=self.cores)
 
 
 @dataclass
@@ -146,65 +112,165 @@ class ServeResponse:
     latency_cycles: float = 0.0
     #: simulated-clock instant the request reached this terminal state
     completed_cycles: float = 0.0
-    wall_seconds: float = 0.0
     run: Optional[EngineRun] = None
     #: cluster only: the worker slot that executed the run ("" locally)
     worker: str = ""
     #: cluster only: compact digest of the converged states (the HTTP
     #: response payload; local responses carry the full ``run`` instead)
     summary: Optional[dict] = None
+    #: why a ``failed`` request could not be served
+    error: str = ""
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
 
-@dataclass
-class _Pending:
-    request: ServeRequest
-    wall_enqueued: float = field(default_factory=time.perf_counter)
+# ----------------------------------------------------------------------
+# Execution.
+# ----------------------------------------------------------------------
+class WorkerCore:
+    """Cache lookup -> :meth:`QueryEngine.execute` -> ``serve.*`` counters.
 
-
-class GraphService:
-    """Versioned graph serving with batching, caching, and backpressure."""
+    :class:`GraphService` runs one core inline on its own store.  Each
+    cluster worker slot runs one behind a transport
+    (:mod:`repro.serve.cluster.worker`): inline on the dispatcher's shared
+    store, or in a spawned process on a replica loaded from
+    ``store_dir``.  :meth:`handle` is the command boundary of that
+    transport; only there is a reply turned into picklable primitives.
+    """
 
     def __init__(
         self,
-        graph: CSRGraph,
-        config: Optional[ServeConfig] = None,
+        config: ServeConfig,
         store: Optional[GraphStore] = None,
+        store_dir: Optional[str] = None,
     ) -> None:
-        self.config = config or ServeConfig()
-        self.store = store or GraphStore(graph)
+        if store is None:
+            if store_dir is None:
+                raise ValueError("WorkerCore needs a shared store or a store_dir")
+            store = GraphStore.load(store_dir, mmap=config.mmap_store)
+        self.store = store
         self.engine = QueryEngine(
-            self.store,
-            system=self.config.system,
-            hardware=self.config.hardware(),
-            warm=self.config.warm,
-            max_rounds=self.config.max_rounds,
-            reorder=self.config.reorder,
-            baseline_dir=self.config.baseline_dir,
-            sum_reanchor_every=self.config.sum_reanchor_every,
-            steal_policy=self.config.steal_policy,
-            backend=self.config.backend,
+            store,
+            system=config.system,
+            hardware=config.hardware(),
+            warm=config.warm,
+            max_rounds=config.max_rounds,
+            reorder=config.reorder,
+            baseline_dir=config.baseline_dir,
+            sum_reanchor_every=config.sum_reanchor_every,
+            steal_policy=config.steal_policy,
+            backend=config.backend,
         )
-        self.batcher: Batcher[_Pending] = Batcher()
-        self.cache: ResultCache[EngineRun] = ResultCache(
-            self.config.cache_capacity
-        )
+        self.cache: ResultCache[EngineRun] = ResultCache(config.cache_capacity)
         self.metrics = MetricRegistry()
-        #: the service's simulated clock, advanced by engine runs/cache hits
+        for name in SERVE_COUNTER_FAMILY:
+            self.metrics.inc(name, 0.0)
+
+    @staticmethod
+    def cycles(run: EngineRun, cache_hit: bool) -> float:
+        """Simulated cost of one answered batch."""
+        return CACHE_HIT_CYCLES if cache_hit else run.cycles
+
+    def execute(self, key: QueryKey) -> Tuple[EngineRun, bool]:
+        """Answer one coalesced batch; returns the run and whether it
+        came from the result cache."""
+        metrics = self.metrics
+        run = self.cache.get(key)
+        if run is not None:
+            metrics.inc("serve.cache_hits")
+            return run, True
+        metrics.inc("serve.cache_misses")
+        run = self.engine.execute(key.algorithm, dict(key.params), key.version)
+        self.cache.put(key, run)
+        metrics.inc("serve.engine_runs")
+        metrics.observe("serve.run_cycles", run.cycles)
+        if run.warm:
+            metrics.inc("serve.warm_runs")
+            metrics.inc("serve.warm_updates", run.updates)
+            metrics.observe("serve.warm_seeded", run.seeded)
+            if run.inherited:
+                # warm-started from a baseline another engine converged
+                # (installed or spool-loaded): a fork answering warm
+                metrics.inc("serve.baseline_inherited")
+        else:
+            metrics.inc("serve.cold_runs")
+            metrics.inc("serve.cold_updates", run.updates)
+            # first-ever runs of a lineage have nothing to warm from; a
+            # *fallback* means a baseline existed but warm-starting from
+            # it would have been unsound (removal under min/max,
+            # untransformable algorithm, ...)
+            if run.fallback_reason and run.fallback_reason != FALLBACK_NO_BASELINE:
+                metrics.inc("serve.warm_fallbacks")
+        return run, False
+
+    def apply_delta(self, delta: GraphDelta) -> int:
+        """Apply one broadcast delta to the replica store; returns the
+        new version id (the dispatcher asserts it matches its own)."""
+        version = self.store.apply(delta)
+        self.metrics.set("serve.version", version.version)
+        return version.version
+
+    def compact(self, keep_last: int) -> int:
+        return self.store.compact(keep_last)
+
+    def handle(self, command: Tuple) -> Any:
+        """Execute one transport command tuple; replies are picklable."""
+        op = command[0]
+        if op == "execute":
+            key = QueryKey(command[1], canonical_params(command[2]), command[3])
+            run, cache_hit = self.execute(key)
+            return {
+                "cycles": float(self.cycles(run, cache_hit)),
+                "cache_hit": cache_hit,
+                "warm": run.warm,
+                "inherited": run.inherited,
+                "fallback_reason": run.fallback_reason,
+                "updates": int(run.updates),
+                "seeded": int(run.seeded),
+                "summary": summarize_states(run.result.states),
+            }
+        if op == "update":
+            return self.apply_delta(GraphDelta.from_dict(command[1]))
+        if op == "compact":
+            return self.compact(command[1])
+        if op == "metrics":
+            return self.metrics.as_dict()
+        raise ValueError(f"unknown worker command {op!r}")
+
+
+# ----------------------------------------------------------------------
+# Admission.
+# ----------------------------------------------------------------------
+class AdmissionFront:
+    """Admission, deadline shedding and latency accounting.
+
+    A subclass sets :attr:`COUNTER_PREFIX` and, before calling
+    ``__init__``, ``config``, ``store`` and ``metrics``; it defines its
+    own ``dispatch_next`` (its clock model), which pops a batch with
+    :meth:`_next_batch`, sheds with :meth:`_shed_expired` and answers with
+    :meth:`_answer`.  Each subclass also binds ``submit`` into its own
+    namespace (``submit = AdmissionFront.submit``), so that a per-class
+    wrapper (``perfbench/layers.py`` times the two services apart) never
+    reaches the other class.
+    """
+
+    #: counter family of the admission counters: ``serve`` or ``cluster``
+    COUNTER_PREFIX: str
+
+    config: ServeConfig
+    store: GraphStore
+    metrics: MetricRegistry
+
+    def __init__(self) -> None:
+        self.batcher: Batcher[ServeRequest] = Batcher()
+        #: the simulated admission clock
         self.now_cycles = 0.0
-        #: wall seconds spent inside engine runs (reporting only)
-        self.wall_engine_seconds = 0.0
         self._next_request_id = 0
         self._latencies: List[float] = []
         self._responses: List[ServeResponse] = []
-        self._zero_seed_counters()
 
-    # ------------------------------------------------------------------
-    # Admission.
-    # ------------------------------------------------------------------
     def submit(
         self,
         algorithm: str,
@@ -220,23 +286,21 @@ class GraphService:
         arrival (deterministic reject-new backpressure) and returns the
         terminal :class:`ServeResponse` immediately.  An unknown version
         (KeyError) or a query naming an unknown algorithm or parameter
-        (ValueError) raises before anything is queued.
+        (ValueError) raises before anything is queued (HTTP 404/400).
         """
         metrics = self.metrics
-        metrics.inc("serve.submitted")
+        prefix = self.COUNTER_PREFIX
+        metrics.inc(f"{prefix}.submitted")
         request_id = self._next_request_id
         self._next_request_id += 1
         if len(self.batcher) >= self.config.queue_limit:
-            metrics.inc("serve.shed_queue")
+            metrics.inc(f"{prefix}.shed_queue")
             response = ServeResponse(
-                request_id, STATUS_SHED_QUEUE,
-                completed_cycles=self.now_cycles,
+                request_id, STATUS_SHED_QUEUE, completed_cycles=self.now_cycles
             )
             self._responses.append(response)
             return response
-        resolved = (
-            self.store.latest_version if version is None else version
-        )
+        resolved = self.store.latest_version if version is None else version
         self.store.get(resolved)  # validate
         validate_query(algorithm, params)
         deadline = (
@@ -253,53 +317,26 @@ class GraphService:
             enqueued_at=self.now_cycles,
         )
         key = QueryKey(algorithm, canonical_params(request.params), resolved)
-        metrics.inc("serve.admitted")
-        metrics.observe("serve.queue_depth", len(self.batcher) + 1)
-        self.batcher.add(key, _Pending(request))
+        metrics.inc(f"{prefix}.admitted")
+        metrics.observe(f"{prefix}.queue_depth", len(self.batcher) + 1)
+        self.batcher.add(key, request)
         return request_id
 
-    # ------------------------------------------------------------------
-    # Updates.
-    # ------------------------------------------------------------------
-    def apply_update(self, delta: GraphDelta) -> GraphVersion:
-        """Apply one mutation batch; the new version becomes ``latest``.
-
-        Already-admitted requests keep their admission-time snapshot;
-        the version advance invalidates the cache for subsequent
-        latest-version queries simply because the key changes.
-        """
-        version = self.store.apply(delta)
-        metrics = self.metrics
-        metrics.inc("serve.updates_applied")
-        metrics.inc("serve.edges_added", len(delta.add_edges))
-        metrics.inc("serve.edges_removed", len(delta.remove_edges))
-        metrics.inc("serve.edges_reweighted", len(delta.reweight))
-        metrics.inc("serve.vertices_added", delta.add_vertices)
-        metrics.set("serve.version", version.version)
-        return version
-
-    # ------------------------------------------------------------------
-    # Dispatch.
-    # ------------------------------------------------------------------
-    def drain(self) -> List[ServeResponse]:
-        """Dispatch every pending batch; returns the new responses."""
-        first = len(self._responses)
-        while self.dispatch_next() is not None:
-            pass
-        return self._responses[first:]
-
     def dispatch_next(self) -> Optional[List[ServeResponse]]:
-        """Dispatch the single oldest pending batch; ``None`` when empty.
+        """Dispatch the single oldest pending batch; returns its
+        responses, ``None`` when the queue is empty.
 
         Event-driven drivers (the traffic harness) use this instead of
         :meth:`drain` so they can interleave new arrivals and mutations
         between batches as the simulated clock advances.
         """
-        batch = self.batcher.next_batch()
-        if batch is None:
-            return None
+        raise NotImplementedError
+
+    def drain(self) -> List[ServeResponse]:
+        """Dispatch every pending batch; returns the new responses."""
         first = len(self._responses)
-        self._dispatch(*batch)
+        while self.dispatch_next() is not None:
+            pass
         return self._responses[first:]
 
     def advance_clock(self, to_cycles: float) -> None:
@@ -311,84 +348,63 @@ class GraphService:
         if to_cycles > self.now_cycles:
             self.now_cycles = to_cycles
 
-    def _dispatch(self, key: QueryKey, group: List[_Pending]) -> None:
-        metrics = self.metrics
-        metrics.observe("serve.batch_size", len(group))
+    def _next_batch(self) -> Optional[Tuple[QueryKey, List[ServeRequest]]]:
+        """Pop the oldest pending batch and record its size."""
+        batch = self.batcher.next_batch()
+        if batch is not None:
+            self.metrics.observe(f"{self.COUNTER_PREFIX}.batch_size", len(batch[1]))
+        return batch
 
-        # Deadline accounting happens at dispatch: a request that waited
-        # past its deadline is shed before any engine work is spent on it.
-        live: List[_Pending] = []
-        for pending in group:
-            waited = self.now_cycles - pending.request.enqueued_at
-            if waited > pending.request.deadline_cycles:
-                metrics.inc("serve.shed_deadline")
+    def _shed_expired(
+        self,
+        key: QueryKey,
+        group: List[ServeRequest],
+        start: float,
+        worker: str = "",
+    ) -> List[ServeRequest]:
+        """Shed every request that would only start (at ``start``) after
+        its deadline, before any engine work is spent on it; returns the
+        rest."""
+        live: List[ServeRequest] = []
+        for request in group:
+            waited = start - request.enqueued_at
+            if waited > request.deadline_cycles:
+                self.metrics.inc(f"{self.COUNTER_PREFIX}.shed_deadline")
                 self._responses.append(
                     ServeResponse(
-                        pending.request.request_id,
+                        request.request_id,
                         STATUS_SHED_DEADLINE,
                         key=key,
                         latency_cycles=waited,
-                        completed_cycles=self.now_cycles,
-                        wall_seconds=time.perf_counter()
-                        - pending.wall_enqueued,
+                        completed_cycles=start,
+                        worker=worker,
                     )
                 )
             else:
-                live.append(pending)
-        if not live:
-            return
+                live.append(request)
+        return live
 
-        run = self.cache.get(key)
-        cache_hit = run is not None
-        if cache_hit:
-            metrics.inc("serve.cache_hits")
-            self.now_cycles += CACHE_HIT_CYCLES
-        else:
-            metrics.inc("serve.cache_misses")
-            wall_start = time.perf_counter()
-            run = self.engine.execute(
-                key.algorithm, dict(key.params), key.version
-            )
-            self.wall_engine_seconds += time.perf_counter() - wall_start
-            self.now_cycles += run.cycles
-            self.cache.put(key, run)
-            metrics.inc("serve.engine_runs")
-            metrics.observe("serve.run_cycles", run.cycles)
-            if run.warm:
-                metrics.inc("serve.warm_runs")
-                metrics.inc("serve.warm_updates", run.updates)
-                metrics.observe("serve.warm_seeded", run.seeded)
-                if run.inherited:
-                    # warm-started from a baseline another engine converged
-                    # (installed or spool-loaded): a fork answering warm
-                    metrics.inc("serve.baseline_inherited")
-            else:
-                metrics.inc("serve.cold_runs")
-                metrics.inc("serve.cold_updates", run.updates)
-                # first-ever runs of a lineage have nothing to warm from;
-                # a *fallback* means a baseline existed but warm-starting
-                # from it would have been unsound (removal under min/max,
-                # untransformable algorithm, ...)
-                if run.fallback_reason and run.fallback_reason != FALLBACK_NO_BASELINE:
-                    metrics.inc("serve.warm_fallbacks")
-
-        for pending in live:
-            latency = self.now_cycles - pending.request.enqueued_at
+    def _answer(
+        self,
+        key: QueryKey,
+        live: List[ServeRequest],
+        completed: float,
+        **outcome: Any,
+    ) -> None:
+        """Answer every live request of one batch at ``completed``."""
+        name = f"{self.COUNTER_PREFIX}.latency_cycles"
+        for request in live:
+            latency = completed - request.enqueued_at
             self._latencies.append(latency)
-            metrics.observe("serve.latency_cycles", latency)
+            self.metrics.observe(name, latency)
             self._responses.append(
                 ServeResponse(
-                    pending.request.request_id,
+                    request.request_id,
                     STATUS_OK,
                     key=key,
-                    cache_hit=cache_hit,
-                    warm=run.warm,
-                    inherited=run.inherited,
-                    fallback_reason=run.fallback_reason,
                     latency_cycles=latency,
-                    completed_cycles=self.now_cycles,
-                    wall_seconds=time.perf_counter() - pending.wall_enqueued,
-                    run=run,
+                    completed_cycles=completed,
+                    **outcome,
                 )
             )
 
@@ -407,20 +423,89 @@ class GraphService:
         rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
         return ordered[rank]
 
-    def metrics_snapshot(self) -> dict:
+    def _flush_gauges(self) -> None:
+        """Set the queue and latency gauges of the admission family."""
+        prefix = self.COUNTER_PREFIX
+        self.metrics.set(f"{prefix}.queue_pending", float(len(self.batcher)))
+        self.metrics.set(f"{prefix}.latency_p50_cycles", self.latency_quantile(0.50))
+        self.metrics.set(f"{prefix}.latency_p95_cycles", self.latency_quantile(0.95))
+
+
+class GraphService(AdmissionFront):
+    """Versioned graph serving on one server: batching, caching,
+    backpressure, and a single simulated clock."""
+
+    COUNTER_PREFIX = "serve"
+    submit = AdmissionFront.submit
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        config: Optional[ServeConfig] = None,
+        store: Optional[GraphStore] = None,
+    ) -> None:
+        self.config = config or ServeConfig()
+        self.store = store or GraphStore(graph)
+        self.core = WorkerCore(self.config, store=self.store)
+        self.engine = self.core.engine
+        self.cache = self.core.cache
+        self.metrics = self.core.metrics
+        self.metrics.set("serve.version", 0.0)
+        super().__init__()
+
+    def apply_update(self, delta: GraphDelta) -> GraphVersion:
+        """Apply one mutation batch; the new version becomes ``latest``.
+
+        Already-admitted requests keep their admission-time snapshot;
+        the version advance invalidates the cache for subsequent
+        latest-version queries simply because the key changes.
+        """
+        version = self.store.apply(delta)
+        metrics = self.metrics
+        metrics.inc("serve.updates_applied")
+        metrics.inc("serve.edges_added", len(delta.add_edges))
+        metrics.inc("serve.edges_removed", len(delta.remove_edges))
+        metrics.inc("serve.edges_reweighted", len(delta.reweight))
+        metrics.inc("serve.vertices_added", delta.add_vertices)
+        metrics.set("serve.version", version.version)
+        return version
+
+    def compact(self, keep_last: int = 8) -> int:
+        """Drop all but the newest ``keep_last`` versions of the store."""
+        return self.core.compact(keep_last)
+
+    def close(self) -> None:
+        """Nothing to stop: the one core runs inline."""
+
+    def dispatch_next(self) -> Optional[List[ServeResponse]]:
+        batch = self._next_batch()
+        if batch is None:
+            return None
+        key, group = batch
+        first = len(self._responses)
+        live = self._shed_expired(key, group, self.now_cycles)
+        if live:
+            run, cache_hit = self.core.execute(key)
+            self.now_cycles += WorkerCore.cycles(run, cache_hit)
+            self._answer(
+                key,
+                live,
+                self.now_cycles,
+                cache_hit=cache_hit,
+                warm=run.warm,
+                inherited=run.inherited,
+                fallback_reason=run.fallback_reason,
+                run=run,
+            )
+        return self._responses[first:]
+
+    @property
+    def makespan_cycles(self) -> float:
+        """When the server finishes all work charged so far: its clock."""
+        return self.now_cycles
+
+    def metrics_snapshot(self) -> Dict[str, float]:
         """Flattened ``obs.serve.*`` counters (deterministic)."""
         self.metrics.set("serve.cache_hit_rate", self.cache.hit_rate)
-        self.metrics.set("serve.queue_pending", len(self.batcher))
-        self.metrics.set(
-            "serve.latency_p50_cycles", self.latency_quantile(0.50)
-        )
-        self.metrics.set(
-            "serve.latency_p95_cycles", self.latency_quantile(0.95)
-        )
+        self._flush_gauges()
         return self.metrics.as_dict(prefix="obs.")
-
-    def _zero_seed_counters(self) -> None:
-        """Pre-create :data:`SERVE_COUNTER_FAMILY` (zero-seeding)."""
-        for name in SERVE_COUNTER_FAMILY:
-            self.metrics.inc(name, 0.0)
-        self.metrics.set("serve.version", 0.0)

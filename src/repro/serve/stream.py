@@ -25,7 +25,7 @@ The moving parts:
 * **Publication** — each window becomes one
   :meth:`GraphService.apply_update` (or the cluster's broadcast variant)
   at the window's close instant; every ``compact_every`` publications
-  the store chain is compacted via ``GraphStore.compact(keep_last=K)``,
+  the service compacts its store chain (``compact(keep_last=K)``),
   so the delta chain stays bounded under sustained ingest.
 * **Standing queries** — every publication re-answers each registered
   ``(algorithm, params)`` spec at the new version.  Because the engine
@@ -370,10 +370,7 @@ class StreamRun:
 
     def _compact(self) -> None:
         service = self.service
-        if isinstance(service, ClusterService):
-            pruned = service.compact(self.config.keep_last)
-        else:
-            pruned = service.store.compact(self.config.keep_last)
+        pruned = service.compact(self.config.keep_last)
         if pruned:
             self.stats.compactions += 1
             service.metrics.inc("stream.compactions")
@@ -448,9 +445,7 @@ class StreamRun:
         stats = self.stats
         service = self.service
         metrics = service.metrics
-        stats.sim_cycles = getattr(
-            service, "makespan_cycles", service.now_cycles
-        )
+        stats.sim_cycles = service.makespan_cycles
         stats.chain_sha = chain_digest(self._chain)
         metrics.set("stream.sim_cycles", stats.sim_cycles)
         metrics.set("stream.updates_per_mcycle", stats.updates_per_mcycle)
@@ -467,8 +462,7 @@ class StreamRun:
             "stream.warm_share", warm_runs / engine_runs if engine_runs else 0.0
         )
         stats.counters = service.metrics_snapshot()
-        if isinstance(service, ClusterService):
-            service.close()
+        service.close()
         return stats
 
 

@@ -1,9 +1,8 @@
 """Deterministic traffic generation and latency-SLO sweeps.
 
-``serve-bench`` replays one fixed seeded script; this module answers the
-question that replay cannot: *what happens to tail latency and shedding
-as offered load ramps* — the serving-tier analogue of the paper's
-Figure 11 throughput scaling.  A :class:`TrafficConfig` describes a
+This module answers the question no fixed script can: *what happens to
+tail latency and shedding as offered load ramps* — the serving-tier
+analogue of the paper's Figure 11 throughput scaling.  A :class:`TrafficConfig` describes a
 synthetic population of clients issuing queries with **Zipfian
 popularity** over a ranked catalog of ``(algorithm, params)`` specs,
 interleaved with seeded mutation bursts, under one of two arrival
@@ -449,10 +448,8 @@ class TrafficRun:
         service = self.service
         metrics = service.metrics
         # the cluster's span runs to its busiest worker's clock, not the
-        # dispatcher's; the single service has no separate worker clocks
-        stats.sim_cycles = getattr(
-            service, "makespan_cycles", service.now_cycles
-        )
+        # dispatcher's; the single service's is its one clock
+        stats.sim_cycles = service.makespan_cycles
         # the cluster keeps serve.* counters in its workers, not in the
         # dispatcher registry, so read them from the aggregated snapshot
         snapshot = service.metrics_snapshot()

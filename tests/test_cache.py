@@ -2,6 +2,7 @@
 including differential tests of the policy-specialised caches and the
 fused hierarchy walk against a brute-force reference model."""
 
+import signal
 from dataclasses import replace
 
 import pytest
@@ -145,6 +146,10 @@ class RefCache:
             self.writebacks += 1
             if self.policy == "lru":
                 cset.pop(0)
+            elif all(self.is_hot(e[0]) for e in cset):
+                # hot lines never age to 3: the oldest at the highest RRPV
+                top = max(rrpv for _, rrpv in cset)
+                cset.remove(next(e for e in cset if e[1] == top))
             else:
                 while not any(rrpv >= 3 for _, rrpv in cset):
                     for entry in cset:
@@ -187,12 +192,39 @@ class TestPolicyDifferential:
         trace=TRACE,
     )
     def test_matches_reference(self, policy, num_sets, ways, trace):
+        # ways - 1 hot lines per set, so every full set holds a cold line
+        # (GRASP ages hot lines no further than RRPV_MAX - 1)
+        self.check_against_reference(policy, num_sets, ways, trace, ways - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_sets=st.sampled_from([1, 2, 64]),
+        ways=st.sampled_from([1, 2, 4]),
+        hot_tags=st.integers(0, 12),
+        trace=TRACE,
+    )
+    def test_all_hot_sets_match_reference(self, num_sets, ways, hot_tags, trace):
+        """Hot ranges that fill whole sets: eviction must still end (the
+        alarm turns a non-terminating ageing loop into a failure)."""
+        def expire(signum, frame):
+            raise TimeoutError("GRASP eviction did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            self.check_against_reference("grasp", num_sets, ways, trace, hot_tags)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def check_against_reference(policy, num_sets, ways, trace, hot_tags):
+        """Replay ``trace`` on a cache and the reference model, with tags
+        below ``hot_tags`` in every set registered hot."""
         cache = Cache(CacheConfig(64 * ways * num_sets, ways, 4, policy))
         classes = {"lru": LRUCache, "drrip": RRIPCache, "grasp": GRASPCache}
         assert type(cache) is classes[policy]
-        # ways - 1 hot lines per set, so every full set holds a cold line
-        # (GRASP ages hot lines no further than RRPV_MAX - 1)
-        hot = [(0, (ways - 1) * cache.num_sets)]
+        hot = [(0, hot_tags * cache.num_sets)]
         ref = RefCache(cache.num_sets, ways, policy, hot)
         for begin, end in hot:
             cache.add_hot_range(begin, end)

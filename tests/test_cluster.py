@@ -12,6 +12,7 @@ builder.
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -34,7 +35,10 @@ from repro.serve.cluster import (
     ClusterService,
     RoutingTable,
 )
+from repro.serve.cluster import dispatch as dispatch_module
+from repro.serve.cluster.http_api import _MAX_BODY
 from repro.serve.cluster.routing import score
+from repro.serve.cluster.worker import InlineWorkerClient, WorkerDied
 from repro.serve.traffic import TrafficConfig
 from repro.serve.warmstart import FALLBACK_COMPACTED
 from tests.goldens.serving_script import (
@@ -233,6 +237,32 @@ class TestFaultHandling:
         assert second.worker == first.worker
         # the lineage was routed once; the restart did not re-route it
         assert snapshot["obs.cluster.routed"] == 1.0
+
+
+class _DiesOnBfs(InlineWorkerClient):
+    """An inline worker that dies on every bfs batch, restarts included."""
+
+    def call(self, command, timeout=0.0):
+        if command[0] == "execute" and command[1] == "bfs":
+            raise WorkerDied(f"worker {self.name} dies on bfs")
+        return super().call(command, timeout)
+
+
+class TestUnservableBatch:
+    def test_fails_only_its_own_requests(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dispatch_module, "InlineWorkerClient", _DiesOnBfs)
+        with make_cluster(tmp_path) as service:
+            bfs = [service.submit("bfs", {"source": 1}) for _ in range(2)]
+            wcc = service.submit("wcc", {})
+            responses = {r.request_id: r for r in service.drain()}
+            snapshot = service.metrics_snapshot()
+        assert sorted(responses) == sorted(bfs + [wcc])
+        for request_id in bfs:
+            assert responses[request_id].status == "failed"
+            assert "could not be served" in responses[request_id].error
+        assert responses[wcc].ok
+        assert snapshot["obs.cluster.requeued"] == 3.0
+        assert snapshot["obs.cluster.worker_restarts"] == 3.0
 
 
 class TestBaselineInheritance:
@@ -546,6 +576,51 @@ class TestHTTPFrontDoor:
         assert status == 400
         status, _ = served.request("GET", "/nope")
         assert status == 404
+
+    def test_oversized_body_gets_413_and_close(self, served):
+        host, port = served.base[len("http://"):].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                (
+                    "POST /query HTTP/1.1\r\n"
+                    f"Content-Length: {_MAX_BODY + 1}\r\n\r\n"
+                ).encode()
+            )
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk  # ends only when the server closes
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in head
+        assert "limit" in json.loads(body)["error"]
+        status, _ = served.request("GET", "/healthz")  # still serving
+        assert status == 200
+
+    def test_malformed_json_gets_400(self, served):
+        for raw, reason in ((b"{not json", "not valid JSON"),
+                            (b"[1, 2]", "JSON object")):
+            req = urllib.request.Request(
+                served.base + "/query", data=raw, method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=60)
+            assert err.value.code == 400
+            assert reason in json.loads(err.value.read())["error"]
+
+    def test_unservable_batch_gets_500_and_dispatch_continues(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(dispatch_module, "InlineWorkerClient", _DiesOnBfs)
+        with make_cluster(tmp_path) as service, _ServerThread(service) as server:
+            status, failed = server.request(
+                "POST", "/query", {"algorithm": "bfs", "params": {"source": 1}}
+            )
+            assert status == 500 and failed["status"] == "failed"
+            assert "could not be served" in failed["error"]
+            status, answered = server.request(
+                "POST", "/query", {"algorithm": "wcc", "params": {}}
+            )
+            assert status == 200 and answered["status"] == "ok"
 
     def test_concurrent_identical_queries_coalesce(self, served):
         results = []

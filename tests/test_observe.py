@@ -7,7 +7,9 @@ byte-identical final states (and identical simulated cycles) to an
 untraced run.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +369,41 @@ class TestFileSink:
             assert "dropped" not in trace.get("metadata", {}) or not trace[
                 "metadata"
             ].get("dropped")
+
+
+def load_check_baselines():
+    spec = importlib.util.spec_from_file_location(
+        "check_baselines",
+        Path(__file__).resolve().parent.parent / "benchmarks" / "check_baselines.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfGateArtifacts:
+    """check_baselines.py fails on a broken fig11 artifact even where no
+    baseline covers the run."""
+
+    def test_empty_table_and_unbaselined_run_without_counters_fail(
+        self, tmp_path, capsys
+    ):
+        gate = load_check_baselines()
+        metrics = tmp_path / "fig11.metrics.json"
+        runs = {"not-baselined": {"counters": {"obs.sim.cycles": 1.0}}}
+        metrics.write_text(json.dumps({"scale": 0.05, "cores": 8, "runs": runs}))
+        (tmp_path / "fig11.txt").write_text("")
+        assert gate.main(["--metrics", str(metrics)]) == 1
+        out = capsys.readouterr().out
+        assert "fig11.txt is missing or empty" in out
+        assert (
+            "not-baselined: counters lack obs.sched.steals_attempted, "
+            "obs.cache.llc.hit_rate" in out
+        )
+
+    def test_complete_artifact_adds_no_failure(self, tmp_path):
+        gate = load_check_baselines()
+        table = tmp_path / "fig11.txt"
+        table.write_text("table\n")
+        runs = {"run": {"counters": {gate.STEALS: 0.0, gate.LLC: 0.5}}}
+        assert gate._artifact_failures(runs, table) == []

@@ -9,6 +9,8 @@ and partition maps, and warm-start verification under a non-identity
 ordering in the serving layer.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,13 @@ from repro.graph.reorder import (
     partition_order,
 )
 from repro.hardware import HardwareConfig
-from repro.serve.bench import BenchConfig, run_bench
+from repro.serve import (
+    GraphDelta,
+    GraphService,
+    QueryEngine,
+    ServeConfig,
+    compare_states,
+)
 
 SCALE = 0.1
 CORES = 8
@@ -274,19 +282,64 @@ class TestOriginalIdReporting:
         )
 
 
+def mutation_burst(rng, graph, removals):
+    """One seeded burst: 1-3 new edges, plus ``removals`` existing ones."""
+    n = graph.num_vertices
+    adds = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))]
+    removes = []
+    for _ in range(removals):
+        edge = rng.randrange(graph.num_edges)
+        source = int(np.searchsorted(graph.offsets, edge, side="right") - 1)
+        removes.append((source, int(graph.targets[edge])))
+    return GraphDelta(
+        add_edges=adds,
+        add_weights=tuple(round(rng.uniform(0.5, 1.5), 3) for _ in adds),
+        remove_edges=removes,
+    )
+
+
 class TestServeUnderReordering:
     def test_warm_start_verifies_under_degree_ordering(self):
-        config = BenchConfig(
-            dataset="AZ",
-            scale=0.1,
-            slots=8,
-            cores=4,
-            seed=0,
+        """Serve under the degree ordering across edge additions and
+        removals; shadow every new warm run with a cold run on a control
+        engine and require the same states."""
+        service = GraphService(
+            datasets.load("AZ", scale=SCALE),
+            ServeConfig(cores=4, queue_limit=24, reorder="degree"),
+        )
+        control = QueryEngine(
+            service.store,
+            hardware=service.config.hardware(),
+            warm=False,
             reorder="degree",
         )
-        table, service, verification = run_bench(config)
-        assert verification.warm_runs > 0
-        assert verification.states_match
+        rng = random.Random(0)
+        verified = set()
+        for slot in range(8):
+            if slot % 2:  # odd slots mutate; even slots re-ask (cache hits)
+                graph = service.store.latest.graph
+                service.apply_update(mutation_burst(rng, graph, slot % 4 == 3))
+            for algorithm in ("pagerank", "sssp", "wcc"):
+                service.submit(algorithm)
+                service.submit(algorithm)
+            for response in service.drain():
+                run = response.run
+                if response.cache_hit or not run.warm or run.key in verified:
+                    continue
+                verified.add(run.key)
+                cold = control.execute(
+                    run.key.algorithm, dict(run.key.params), run.key.version,
+                    force_cold=True,
+                )
+                match, divergence = compare_states(
+                    run.key.algorithm, run.result.states, cold.result.states
+                )
+                assert match, f"{run.key.label()}: diverged by {divergence}"
+        assert verified, "no warm run to verify"
+        snapshot = service.metrics_snapshot()
+        assert snapshot["obs.serve.edges_removed"] > 0
+        assert snapshot["obs.serve.cache_hits"] > 0
+        assert snapshot["obs.serve.warm_runs"] > 0
         assert service.engine.reorder == "degree"
         # orderings are resolved once per snapshot version and reused
         assert len(service.engine._orderings) <= (
