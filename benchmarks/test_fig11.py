@@ -8,7 +8,7 @@ def test_fig11_accelerator_comparison(benchmark, config, cache, record_table):
         fig11_speedup.run, args=(config, cache), rounds=1, iterations=1
     )
     # one vector-backend smoke run rides this figure's metrics snapshot so
-    # the perf gate (benchmarks/check_baselines.py) pins the batched
+    # the perf gate (benchmarks/gate.py fig11) pins the batched
     # backend's obs.* counters alongside the scalar rows
     cache.result("depgraph-h", "GL", "pagerank", backend="vector")
     record_table(table)

@@ -30,7 +30,7 @@ docs/OBSERVABILITY.md).
 
 Artifacts land in ``results/scale_sweep.{txt,metrics.json}``; the
 ``scale-smoke`` CI job replays a reduced sweep and gates it via
-``check_slo.py --section scale``.  Environment knobs:
+``benchmarks/gate.py scale``.  Environment knobs:
 ``REPRO_SCALE_BASE_N``, ``REPRO_SCALE_LEVELS`` (comma list of
 multipliers), ``REPRO_SCALE_SCALAR_CAP`` (largest level the scalar
 backend runs at), ``REPRO_SCALE_CHUNK``, ``REPRO_CORES``.
@@ -113,7 +113,7 @@ class ScaleConfig:
         return n, n * self.avg_degree
 
     def gate_config(self) -> Dict[str, object]:
-        """The identity the CI gate pins (see check_slo.py --section scale)."""
+        """The identity the CI gate pins (see ``benchmarks/gate.py scale``)."""
         return {
             "base_vertices": self.base_vertices,
             "avg_degree": self.avg_degree,

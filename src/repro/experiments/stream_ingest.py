@@ -21,7 +21,7 @@ and reports, per level:
 
 Two structural checks land in the committed artifacts
 (``results/stream_ingest.txt`` + ``.metrics.json``) and are re-checked
-by ``benchmarks/check_slo.py --section stream`` in the ``stream-smoke``
+by ``benchmarks/gate.py stream`` in the ``stream-smoke``
 CI job:
 
 * **determinism** — the gate level is replayed with the same seed;

@@ -8,7 +8,7 @@ rate, and warm-start share per level, alongside a cold-control column
 
 Environment knobs follow the harness conventions: ``REPRO_SCALE``,
 ``REPRO_CORES``, ``REPRO_BACKEND``, ``REPRO_REORDER`` (the defaults
-below are the CI ``slo-smoke`` config, which `benchmarks/check_slo.py`
+below are the CI ``slo-smoke`` config, which `benchmarks/gate.py traffic`
 gates against `benchmarks/baselines.json`).
 """
 

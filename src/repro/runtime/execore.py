@@ -29,7 +29,7 @@ times:
   order;
 * **result construction** — :meth:`finish` flushes the per-span cycle
   accounting into ``obs.span.*`` metrics (always on, deterministic —
-  the perf gate in ``benchmarks/check_baselines.py`` reads them) and
+  the perf gate ``benchmarks/gate.py fig11`` reads them) and
   builds the :class:`ExecutionResult`.
 
 Item processing goes through :meth:`ExecutionKernel.process_item`,

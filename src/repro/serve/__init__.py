@@ -19,7 +19,7 @@ one cold batch run per CLI invocation:
   counters), both in :mod:`repro.serve.service`.
 * ``python -m repro traffic`` — the open/closed-loop traffic generator
   and latency-SLO sweep (:mod:`repro.serve.traffic`), reported under
-  ``obs.traffic.*`` and gated in CI by ``benchmarks/check_slo.py``.
+  ``obs.traffic.*`` and gated in CI by ``benchmarks/gate.py traffic``.
 * :class:`ClusterService` / ``python -m repro serve`` — the multi-worker
   serving cluster and its HTTP/JSON front door
   (:mod:`repro.serve.cluster`): lineage-sharded workers (inline or OS
@@ -29,7 +29,7 @@ one cold batch run per CLI invocation:
   ingestion driver (:mod:`repro.serve.stream`): seeded edge-event
   streams folded into windowed snapshot publications, standing queries
   kept continuously warm, per-event staleness under ``obs.stream.*``,
-  gated in CI by ``benchmarks/check_slo.py --section stream``.
+  gated in CI by ``benchmarks/gate.py stream``.
 
 See ``docs/SERVING.md`` for the architecture, warm-start soundness
 rules, and the counter glossary.

@@ -29,7 +29,7 @@ never enters the metrics.
 each level with a **cold-control** run (warm-start off, result cache
 disabled) so the report shows what batching + caching + warm-start buy,
 and writes ``results/traffic_slo.txt`` + ``.metrics.json``.
-``benchmarks/check_slo.py`` gates CI on the committed per-level p95
+``benchmarks/gate.py traffic`` gates CI on the committed per-level p95
 latency and shed-rate baselines (the ``slo-smoke`` job).
 """
 
@@ -556,7 +556,7 @@ class SweepResult:
         table.note(
             "deterministic: repeat sweeps with one seed are bit-identical "
             "(obs.traffic.* / obs.serve.* counters and latency histograms); "
-            "benchmarks/check_slo.py gates p95 + shed rate in CI (slo-smoke)"
+            "benchmarks/gate.py traffic gates p95 + shed rate in CI (slo-smoke)"
         )
         return table
 

@@ -1,14 +1,18 @@
-"""Conformance table for the CI gates over the experiments' metrics.
+"""Conformance table for ``benchmarks/gate.py``, the CI gate.
 
 Each row is (section, payload mutation, expected exit code, FAIL
 substring).  A row first runs the gate on a healthy synthetic payload
 (baselined from that same payload with ``--update``) and requires a
 pass, then applies its one mutation and requires the failure — so every
-row pins exactly one gate condition.
+row pins exactly one gate condition.  Beside the table: every section
+fails a missing or unreadable metrics file with one line, the ``bench``
+section reads the last line of a perfbench run, the committed artifacts
+pass their gates, and every bound row keeps its exact limit.  The
+traffic, stream, scale and fig11 sections have further tests beside
+their experiments.
 """
 
 import copy
-import importlib.util
 import json
 from pathlib import Path
 
@@ -26,29 +30,10 @@ APPLIED = "obs.reorder.applied"
 DELETE = object()
 
 
-def load_module(name):
-    spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "benchmarks" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def run_gate(section, metrics, baselines, update=False):
+def run_gate(gate, section, metrics, baselines, update=False):
     """One gate run over ``metrics``; returns the exit code."""
-    if section == "fig11":
-        module = load_module("check_baselines")
-        module.BASELINES = baselines
-        argv = ["--metrics", str(metrics)]
-    elif section == "reorder":
-        module = load_module("check_reorder")
-        argv = [str(metrics)]
-    else:
-        module = load_module("check_slo")
-        argv = ["--section", section, "--metrics", str(metrics),
-                "--baselines", str(baselines)]
-    return module.main((["--update"] if update else []) + argv)
+    argv = [section, "--metrics", str(metrics), "--baselines", str(baselines)]
+    return gate.main(argv + (["--update"] if update else []))
 
 
 def traffic_payload():
@@ -191,7 +176,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("section,path,value,rc,substring", CASES)
-def test_gate_conformance(tmp_path, capsys, section, path, value, rc,
+def test_gate_conformance(gate, tmp_path, capsys, section, path, value, rc,
                           substring):
     metrics = tmp_path / f"{section}.metrics.json"
     baselines = tmp_path / "baselines.json"
@@ -199,13 +184,83 @@ def test_gate_conformance(tmp_path, capsys, section, path, value, rc,
     healthy = PAYLOADS[section]()
     metrics.write_text(json.dumps(healthy), encoding="utf-8")
     if section != "reorder":  # reorder gates within one job, no baselines
-        assert run_gate(section, metrics, baselines, update=True) == 0
-    assert run_gate(section, metrics, baselines) == 0
+        assert run_gate(gate, section, metrics, baselines, update=True) == 0
+    assert run_gate(gate, section, metrics, baselines) == 0
     assert "FAIL" not in capsys.readouterr().out
 
     broken = mutated(copy.deepcopy(healthy), path, value)
     metrics.write_text(json.dumps(broken), encoding="utf-8")
-    assert run_gate(section, metrics, baselines) == rc
+    assert run_gate(gate, section, metrics, baselines) == rc
     fails = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("FAIL:")]
     assert any(substring in line for line in fails), fails
+
+
+#: a metrics file each section cannot read: no entries key, or no JSON
+#: object on the last line of a captured stdout
+UNREADABLE = {"bench": "== sim-scalar\nperfbench: crashed\n"}
+
+
+@pytest.mark.parametrize("section", ["traffic", "cluster", "stream", "scale",
+                                     "fig11", "reorder", "bench"])
+@pytest.mark.parametrize("problem", ["missing", "unreadable"])
+def test_bad_metrics_file_is_one_fail_line_and_a_summary_row(
+    gate, tmp_path, capsys, monkeypatch, section, problem
+):
+    summary = tmp_path / "summary.md"
+    monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
+    metrics = tmp_path / f"{section}.metrics.json"
+    if problem == "unreadable":
+        metrics.write_text(UNREADABLE.get(section, "{}"), encoding="utf-8")
+    assert run_gate(gate, section, metrics, tmp_path / "baselines.json") == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL:")] == [
+        out.strip()
+    ]
+    assert summary.read_text(encoding="utf-8").count("| :x: FAIL |") == 1
+
+
+def test_bench_section_gates_the_last_line(gate, tmp_path, capsys):
+    out = tmp_path / "bench-smoke.out"
+
+    def bench(**record):
+        line = json.dumps({"correct": True, "attempted": 4, "failed": 0, **record})
+        out.write_text(f"== sim-scalar seed=1\n  ops_per_s 3.5 1/s\n{line}\n")
+        return run_gate(gate, "bench", out, tmp_path / "unused.json")
+
+    assert bench() == 0
+    assert bench(correct=False) == 1
+    assert "incorrect run" in capsys.readouterr().out
+    assert bench(failed=3) == 1
+    assert "3 failed operations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section,artifact", [
+    ("cluster", "cluster_scaling"),
+    ("stream", "stream_ingest"),
+    ("fig11", "fig11"),
+    ("reorder", "reorder_compare"),
+])
+def test_committed_artifact_passes_its_gate(gate, section, artifact):
+    metrics = REPO_ROOT / "results" / f"{artifact}.metrics.json"
+    assert run_gate(gate, section, metrics, REPO_ROOT / "benchmarks" / "baselines.json") == 0
+
+
+@pytest.mark.parametrize("section,metric,base,limit", [
+    ("traffic", "p95_cycles", 100_000.0, 100_000.0 * 1.25 + 5_000),
+    ("traffic", "shed_rate", 0.1, 0.1 + 0.05),
+    ("cluster", "throughput_q_per_mcycle", 80.0, 80.0 * 0.9),
+    ("stream", "updates_per_mcycle", 20.0, 20.0 * 0.9),
+    ("stream", "staleness_p95_cycles", 700_000.0, 700_000.0 * 1.25 + 5_000),
+    ("scale", "build_peak_rss_kb", 40_000.0, 40_000.0 * 1.5 + 49_152),
+    ("scale", "vector_cycles", 1e6, 1e6 * 1.25),
+    ("fig11", LLC, 0.9, 0.9 * 0.98),
+    ("fig11", STEALS, 100.0, 100.0 * 1.2),
+    ("fig11", STEALS, 0.0, 50.0),
+])
+def test_bound_rows_keep_their_shape(gate, section, metric, base, limit):
+    """Each bound row allows exactly up to its documented limit."""
+    (bound,) = [b for b in gate.SPECS[section].bounds if b.metric == metric]
+    step = 1e-9 * max(abs(limit), 1.0)
+    assert not bound.broken(base, limit)
+    assert bound.broken(base, limit + step if bound.direction == "max" else limit - step)

@@ -7,9 +7,7 @@ byte-identical final states (and identical simulated cycles) to an
 untraced run.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -371,29 +369,18 @@ class TestFileSink:
             ].get("dropped")
 
 
-def load_check_baselines():
-    spec = importlib.util.spec_from_file_location(
-        "check_baselines",
-        Path(__file__).resolve().parent.parent / "benchmarks" / "check_baselines.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestPerfGateArtifacts:
-    """check_baselines.py fails on a broken fig11 artifact even where no
+    """``gate.py fig11`` fails on a broken fig11 artifact even where no
     baseline covers the run."""
 
     def test_empty_table_and_unbaselined_run_without_counters_fail(
-        self, tmp_path, capsys
+        self, gate, tmp_path, capsys
     ):
-        gate = load_check_baselines()
         metrics = tmp_path / "fig11.metrics.json"
         runs = {"not-baselined": {"counters": {"obs.sim.cycles": 1.0}}}
         metrics.write_text(json.dumps({"scale": 0.05, "cores": 8, "runs": runs}))
         (tmp_path / "fig11.txt").write_text("")
-        assert gate.main(["--metrics", str(metrics)]) == 1
+        assert gate.main(["fig11", "--metrics", str(metrics)]) == 1
         out = capsys.readouterr().out
         assert "fig11.txt is missing or empty" in out
         assert (
@@ -401,9 +388,8 @@ class TestPerfGateArtifacts:
             "obs.cache.llc.hit_rate" in out
         )
 
-    def test_complete_artifact_adds_no_failure(self, tmp_path):
-        gate = load_check_baselines()
+    def test_complete_artifact_adds_no_failure(self, gate, tmp_path):
         table = tmp_path / "fig11.txt"
         table.write_text("table\n")
         runs = {"run": {"counters": {gate.STEALS: 0.0, gate.LLC: 0.5}}}
-        assert gate._artifact_failures(runs, table) == []
+        assert gate._fig11_artifacts(runs, table) == []

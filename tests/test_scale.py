@@ -1,16 +1,14 @@
-"""The scale sweep (``experiment scale``) and its ``check_slo`` gate.
+"""The scale sweep (``experiment scale``) and its ``gate.py scale`` gate.
 
 The sweep itself spawns one child process per measurement (peak RSS via
 ``ru_maxrss`` is a process-lifetime high-water mark), so the smoke run
 here uses the smallest config that still exercises every phase: two
 levels, scalar capped at the first, bit-identity controls at the
-smallest.  The gate tests drive ``check_slo.py --section scale`` on
+smallest.  The gate tests drive ``gate.py scale`` on
 synthetic payloads — no child processes.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -20,8 +18,6 @@ from repro.experiments.scale_sweep import (
     ScaleConfig,
     _mem_counters,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides):
@@ -112,15 +108,6 @@ class TestScaleSweepSmoke:
         assert restored["config"] == payload["config"]
 
 
-def load_check_slo():
-    spec = importlib.util.spec_from_file_location(
-        "check_slo", REPO_ROOT / "benchmarks" / "check_slo.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def synthetic_scale_metrics(
     tmp_path,
     rss_small=40_000.0,
@@ -161,13 +148,13 @@ def synthetic_scale_metrics(
 
 
 class TestScaleGate:
-    def seed(self, tmp_path, check_slo, **kwargs):
+    def seed(self, tmp_path, gate, **kwargs):
         baselines = tmp_path / "baselines.json"
         good = synthetic_scale_metrics(tmp_path, **kwargs)
         assert (
-            check_slo.main(
+            gate.main(
                 [
-                    "--section", "scale", "--update",
+                    "scale", "--update",
                     "--metrics", str(good),
                     "--baselines", str(baselines),
                 ]
@@ -176,87 +163,77 @@ class TestScaleGate:
         )
         return baselines
 
-    def check(self, check_slo, metrics, baselines):
-        return check_slo.main(
+    def check(self, gate, metrics, baselines):
+        return gate.main(
             [
-                "--section", "scale",
+                "scale",
                 "--metrics", str(metrics),
                 "--baselines", str(baselines),
             ]
         )
 
-    def test_update_then_check_round_trip(self, tmp_path):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_update_then_check_round_trip(self, gate, tmp_path):
+        baselines = self.seed(tmp_path, gate)
         good = synthetic_scale_metrics(tmp_path)
-        assert self.check(check_slo, good, baselines) == 0
+        assert self.check(gate, good, baselines) == 0
         payload = json.loads(baselines.read_text(encoding="utf-8"))
         assert set(payload["scale"]["levels"]) == {"1x", "2x"}
 
-    def test_state_mismatch_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_state_mismatch_fails(self, gate, tmp_path, capsys):
+        baselines = self.seed(tmp_path, gate)
         bad = synthetic_scale_metrics(tmp_path, state_match=False)
-        assert self.check(check_slo, bad, baselines) == 1
+        assert self.check(gate, bad, baselines) == 1
         assert "states diverged" in capsys.readouterr().out
 
-    def test_cycles_drift_with_width_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_cycles_drift_with_width_fails(self, gate, tmp_path, capsys):
+        baselines = self.seed(tmp_path, gate)
         bad = synthetic_scale_metrics(tmp_path, cycles_match=False)
-        assert self.check(check_slo, bad, baselines) == 1
+        assert self.check(gate, bad, baselines) == 1
         assert "storage width" in capsys.readouterr().out
 
-    def test_rss_over_budget_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_rss_over_budget_fails(self, gate, tmp_path, capsys):
+        baselines = self.seed(tmp_path, gate)
         bloated = synthetic_scale_metrics(
             tmp_path, rss_small=40_000.0 * 1.51 + 49_153.0
         )
-        assert self.check(check_slo, bloated, baselines) == 1
+        assert self.check(gate, bloated, baselines) == 1
         assert "build peak RSS" in capsys.readouterr().out
 
-    def test_rss_not_flat_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+    def test_rss_not_flat_fails(self, gate, tmp_path, capsys):
         # baseline itself has the blow-up, so the per-level budget check
         # passes — only the sweep-internal flatness check can catch it
-        check_slo_module = check_slo
         rss_large = 40_000.0 * 1.6 + 49_153.0
-        baselines = self.seed(tmp_path, check_slo_module, rss_large=rss_large)
+        baselines = self.seed(tmp_path, gate, rss_large=rss_large)
         bad = synthetic_scale_metrics(tmp_path, rss_large=rss_large)
-        assert self.check(check_slo_module, bad, baselines) == 1
+        assert self.check(gate, bad, baselines) == 1
         assert "not flat" in capsys.readouterr().out
 
-    def test_narrowing_disengaged_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_narrowing_disengaged_fails(self, gate, tmp_path, capsys):
+        baselines = self.seed(tmp_path, gate)
         wide = synthetic_scale_metrics(tmp_path, graph_ratio=1.0)
-        assert self.check(check_slo, wide, baselines) == 1
+        assert self.check(gate, wide, baselines) == 1
         assert "narrowing did not engage" in capsys.readouterr().out
 
-    def test_vector_cycles_regression_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_vector_cycles_regression_fails(self, gate, tmp_path, capsys):
+        baselines = self.seed(tmp_path, gate)
         slow = synthetic_scale_metrics(tmp_path, vector_cycles=1.3e6)
-        assert self.check(check_slo, slow, baselines) == 1
+        assert self.check(gate, slow, baselines) == 1
         assert "vector cycles" in capsys.readouterr().out
 
-    def test_config_mismatch_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_config_mismatch_fails(self, gate, tmp_path, capsys):
+        baselines = self.seed(tmp_path, gate)
         drifted = synthetic_scale_metrics(tmp_path)
         payload = json.loads(drifted.read_text(encoding="utf-8"))
         payload["config"]["seed"] = 99
         drifted.write_text(json.dumps(payload), encoding="utf-8")
-        assert self.check(check_slo, drifted, baselines) == 1
+        assert self.check(gate, drifted, baselines) == 1
         assert "does not match baseline config" in capsys.readouterr().out
 
-    def test_missing_level_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        baselines = self.seed(tmp_path, check_slo)
+    def test_missing_level_fails(self, gate, tmp_path, capsys):
+        baselines = self.seed(tmp_path, gate)
         partial = synthetic_scale_metrics(tmp_path)
         payload = json.loads(partial.read_text(encoding="utf-8"))
         del payload["levels"]["2x"]
         partial.write_text(json.dumps(payload), encoding="utf-8")
-        assert self.check(check_slo, partial, baselines) == 1
+        assert self.check(gate, partial, baselines) == 1
         assert "missing from the sweep" in capsys.readouterr().out

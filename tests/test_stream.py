@@ -7,15 +7,13 @@ windowed net-effect deltas reconstruct the same CSR as sequential
 per-event application and as a one-shot batch rebuild), same-seed
 bit-determinism of ``obs.stream.*`` counters and snapshot version
 chains, warm-vs-cold standing-query state match, compaction cadence,
-the ``stream`` CLI, and the ``check_slo.py --section stream`` gate
+the ``stream`` CLI, and the ``gate.py stream`` gate
 including its one-line missing-file/missing-section errors and the
 ``GITHUB_STEP_SUMMARY`` tables.
 """
 
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -40,9 +38,6 @@ from repro.serve import (
 )
 from repro.serve.stream import STREAM_COUNTER_FAMILY
 from repro.serve.traffic import QuerySpec
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
 
 def stream_graph(weighted=True):
     return datasets.load("AZ", scale=0.05, weighted=weighted)
@@ -362,17 +357,8 @@ class TestStreamCLI:
 
 
 # ----------------------------------------------------------------------
-# The check_slo --section stream gate.
+# The gate.py stream section.
 # ----------------------------------------------------------------------
-def load_check_slo():
-    spec = importlib.util.spec_from_file_location(
-        "check_slo", REPO_ROOT / "benchmarks" / "check_slo.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def synthetic_stream_metrics(
     tmp_path, rate=25.0, staleness=700_000.0, chain="abc123", **flags
 ):
@@ -415,70 +401,66 @@ def synthetic_stream_metrics(
 
 
 class TestCheckSloStream:
-    def test_update_then_check_round_trip(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+    def test_update_then_check_round_trip(self, gate, tmp_path, capsys):
         metrics = synthetic_stream_metrics(tmp_path)
         baselines = tmp_path / "baselines.json"
         argv = [
-            "--section", "stream",
+            "stream",
             "--metrics", str(metrics),
             "--baselines", str(baselines),
         ]
-        assert check_slo.main(["--update"] + argv) == 0
-        assert check_slo.main(argv) == 0
+        assert gate.main(["--update"] + argv) == 0
+        assert gate.main(argv) == 0
         payload = json.loads(baselines.read_text(encoding="utf-8"))
         assert "count@8" in payload["stream"]["levels"]
         assert payload["stream"]["chain_sha"] == "abc123"
 
-    def test_update_preserves_foreign_sections(self, tmp_path):
-        check_slo = load_check_slo()
+    def test_update_preserves_foreign_sections(self, gate, tmp_path):
         baselines = tmp_path / "baselines.json"
         baselines.write_text(json.dumps({"runs": {"keep": 1}}))
         metrics = synthetic_stream_metrics(tmp_path)
-        check_slo.main(
-            ["--section", "stream", "--update",
+        gate.main(
+            ["stream", "--update",
              "--metrics", str(metrics), "--baselines", str(baselines)]
         )
         payload = json.loads(baselines.read_text(encoding="utf-8"))
         assert payload["runs"] == {"keep": 1}
         assert "stream" in payload
 
-    def test_detects_regressions(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+    def test_detects_regressions(self, gate, tmp_path, capsys):
         baselines = tmp_path / "baselines.json"
         good = synthetic_stream_metrics(tmp_path)
-        base_argv = ["--section", "stream", "--baselines", str(baselines)]
-        assert check_slo.main(
+        base_argv = ["stream", "--baselines", str(baselines)]
+        assert gate.main(
             base_argv + ["--update", "--metrics", str(good)]
         ) == 0
         capsys.readouterr()
 
         slow = synthetic_stream_metrics(tmp_path, rate=10.0)
-        assert check_slo.main(base_argv + ["--metrics", str(slow)]) == 1
+        assert gate.main(base_argv + ["--metrics", str(slow)]) == 1
         assert "sustained ingest" in capsys.readouterr().out
 
         stale = synthetic_stream_metrics(tmp_path, staleness=2_000_000.0)
-        assert check_slo.main(base_argv + ["--metrics", str(stale)]) == 1
+        assert gate.main(base_argv + ["--metrics", str(stale)]) == 1
         assert "p95 staleness" in capsys.readouterr().out
 
         drifted = synthetic_stream_metrics(tmp_path, chain="ffff00")
-        assert check_slo.main(base_argv + ["--metrics", str(drifted)]) == 1
+        assert gate.main(base_argv + ["--metrics", str(drifted)]) == 1
         assert "chain digest" in capsys.readouterr().out
 
         mismatch = synthetic_stream_metrics(tmp_path, states_match=False)
-        assert check_slo.main(base_argv + ["--metrics", str(mismatch)]) == 1
+        assert gate.main(base_argv + ["--metrics", str(mismatch)]) == 1
         assert "cold control" in capsys.readouterr().out
 
         replay = synthetic_stream_metrics(
             tmp_path, deterministic_replay=False
         )
-        assert check_slo.main(base_argv + ["--metrics", str(replay)]) == 1
+        assert gate.main(base_argv + ["--metrics", str(replay)]) == 1
         assert "replay diverged" in capsys.readouterr().out
 
-    def test_missing_metrics_file_is_one_line(self, tmp_path, capsys):
-        check_slo = load_check_slo()
-        rc = check_slo.main(
-            ["--section", "stream",
+    def test_missing_metrics_file_is_one_line(self, gate, tmp_path, capsys):
+        rc = gate.main(
+            ["stream",
              "--metrics", str(tmp_path / "nope.json"),
              "--baselines", str(tmp_path / "baselines.json")]
         )
@@ -488,13 +470,12 @@ class TestCheckSloStream:
         assert "not found" in out
 
     def test_missing_section_key_in_metrics_is_one_line(
-        self, tmp_path, capsys
+        self, gate, tmp_path, capsys
     ):
-        check_slo = load_check_slo()
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"workers": {}}), encoding="utf-8")
-        rc = check_slo.main(
-            ["--section", "stream", "--metrics", str(wrong),
+        rc = gate.main(
+            ["stream", "--metrics", str(wrong),
              "--baselines", str(tmp_path / "baselines.json")]
         )
         assert rc == 1
@@ -502,27 +483,25 @@ class TestCheckSloStream:
         assert "no 'levels' key" in out
         assert "Traceback" not in out
 
-    def test_missing_baseline_section_is_one_line(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+    def test_missing_baseline_section_is_one_line(self, gate, tmp_path, capsys):
         metrics = synthetic_stream_metrics(tmp_path)
         baselines = tmp_path / "baselines.json"
         baselines.write_text(json.dumps({"runs": {}}), encoding="utf-8")
-        rc = check_slo.main(
-            ["--section", "stream", "--metrics", str(metrics),
+        rc = gate.main(
+            ["stream", "--metrics", str(metrics),
              "--baselines", str(baselines)]
         )
         assert rc == 1
         assert "no 'stream' section" in capsys.readouterr().out
 
     def test_missing_section_errors_for_other_sections(
-        self, tmp_path, capsys
+        self, gate, tmp_path, capsys
     ):
         # the bugfix covers every section, not just stream
-        check_slo = load_check_slo()
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"levels": {}}), encoding="utf-8")
-        rc = check_slo.main(
-            ["--section", "cluster", "--metrics", str(wrong),
+        rc = gate.main(
+            ["cluster", "--metrics", str(wrong),
              "--baselines", str(tmp_path / "baselines.json")]
         )
         assert rc == 1
@@ -531,34 +510,28 @@ class TestCheckSloStream:
 
 class TestStepSummary:
     def test_gate_writes_step_summary_tables(
-        self, tmp_path, capsys, monkeypatch
+        self, gate, tmp_path, capsys, monkeypatch
     ):
         summary = tmp_path / "summary.md"
         monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
-        check_slo = load_check_slo()
         metrics = synthetic_stream_metrics(tmp_path)
         baselines = tmp_path / "baselines.json"
-        argv = ["--section", "stream", "--baselines", str(baselines)]
-        check_slo.main(argv + ["--update", "--metrics", str(metrics)])
-        assert check_slo.main(argv + ["--metrics", str(metrics)]) == 0
+        argv = ["stream", "--baselines", str(baselines)]
+        gate.main(argv + ["--update", "--metrics", str(metrics)])
+        assert gate.main(argv + ["--metrics", str(metrics)]) == 0
         bad = synthetic_stream_metrics(tmp_path, rate=1.0)
-        assert check_slo.main(argv + ["--metrics", str(bad)]) == 1
+        assert gate.main(argv + ["--metrics", str(bad)]) == 1
         text = summary.read_text(encoding="utf-8")
         assert "### SLO gate (stream)" in text
         assert ":white_check_mark: PASS" in text
         assert ":x: FAIL" in text
         assert "| status | detail |" in text
 
-    def test_no_op_without_environment(self, tmp_path, monkeypatch):
+    def test_no_op_without_environment(self, gate, tmp_path, monkeypatch):
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        spec = importlib.util.spec_from_file_location(
-            "gate_summary", REPO_ROOT / "benchmarks" / "gate_summary.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert module.write_step_summary("gate", []) is False
+        assert gate.write_step_summary("gate", []) is False
         target = tmp_path / "explicit.md"
-        assert module.write_step_summary(
+        assert gate.write_step_summary(
             "gate", ["pipe | in | detail"], path=str(target)
         )
         text = target.read_text(encoding="utf-8")
